@@ -80,10 +80,14 @@ def joint_distribution(
 ) -> JointTable:
     """Joint table P(system outcome, marker outcome) for one ordering.
 
-    marker_first projects each basis element and then measures the
-    residual over the system; system_first projects each system outcome
-    and then reads the marker conditional. The two orderings fill the
-    same table and agree entrywise (see ordering_invariance_residual).
+    marker_first projects each basis element (core.project_marker) and
+    then measures the residual over the system. system_first conditions
+    the marker on every system outcome at once (core.condition_on_system)
+    and reads each conditional in the basis: cell (s, m) is
+    weight_s * |<m|conditional_s>|^2, and outcomes of zero probability
+    leave all-zero rows. The two orderings are separate arithmetic that
+    fill the same table and agree entrywise (see
+    ordering_invariance_residual).
 
     system_labels, when given, names the rows (e.g. 1-based detector
     numbers); the default is the 0-based outcome index.
@@ -100,8 +104,8 @@ def joint_distribution(
         if len(system_labels) != state.system_dim:
             raise ValueError("system_labels must cover every system outcome")
 
-    table = np.zeros((state.system_dim, 2))
     if order == MARKER_FIRST:
+        table = np.zeros((state.system_dim, 2))
         for col, element in enumerate(states):
             try:
                 residual, branch = core.project_marker(state, element.vector)
@@ -109,14 +113,9 @@ def joint_distribution(
                 continue
             table[:, col] = branch * residual.system_probabilities()
     else:
-        vectors = [element.vector for element in states]
-        for row in range(state.system_dim):
-            try:
-                conditional, weight = core.project_system(state, row)
-            except ZeroProbabilityError:
-                continue
-            for col, vec in enumerate(vectors):
-                table[row, col] = weight * abs(complex(np.vdot(vec, conditional))) ** 2
+        weights, conditionals = core.condition_on_system(state)
+        basis = np.stack([element.vector for element in states])
+        table = weights[:, None] * np.abs(conditionals @ basis.conj().T) ** 2
     return JointTable(system_labels, tuple(s.label for s in states), table)
 
 
@@ -130,15 +129,9 @@ def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
 def mutual_information(table: JointTable) -> float:
     """Mutual information of a joint table in bits, with 0 log 0 = 0."""
     probs = table.probabilities
-    row = probs.sum(axis=1)
-    col = probs.sum(axis=0)
-    info = 0.0
-    for i in range(probs.shape[0]):
-        for j in range(probs.shape[1]):
-            p = probs[i, j]
-            if p > 0.0:
-                info += p * math.log2(p / (row[i] * col[j]))
-    return info
+    marginals = np.outer(probs.sum(axis=1), probs.sum(axis=0))
+    live = probs > 0.0
+    return float(np.sum(probs[live] * np.log2(probs[live] / marginals[live])))
 
 
 # -- Two-spin pair isomorphic to the marked interferometer ------------------

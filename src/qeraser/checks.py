@@ -12,8 +12,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, nchannel, twoslit
-from .marker import erasure_basis, which_path_basis
+from . import analysis, core, nchannel, twoslit
+from .marker import SQRT_HALF, erasure_basis, which_path_basis
 
 
 class CheckResult(NamedTuple):
@@ -68,12 +68,13 @@ def _delayed_definiteness() -> float:
 
 def _screen_definiteness() -> float:
     grid = twoslit.default_grid()
-    worst = 0.0
-    for k in range(grid.bins):
-        worst = max(
-            worst, abs(twoslit.delayed_marker_state_at(grid, k).fidelity_dplus_thetax - 1.0)
-        )
-    return worst
+    weights, conditionals = core.condition_on_system(twoslit.marked_state(grid))
+    # plus(theta_x) for every bin, as marker.erasure_basis builds it.
+    cos, sin = np.cos(grid.theta_x), np.sin(grid.theta_x)
+    targets = np.stack([cos + 1j * sin, cos - 1j * sin], axis=1) * SQRT_HALF
+    overlaps = np.einsum("ij,ij->i", targets.conj(), conditionals)
+    fidelity = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
+    return float(np.max(np.abs(fidelity[weights > 0.0] - 1.0)))
 
 
 def _complementarity() -> float:

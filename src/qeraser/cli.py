@@ -310,6 +310,21 @@ def _sample_state_and_basis(params):
     return state, basis, labels, f"{tag}-{params['basis']}-theta{theta:g}"
 
 
+def _checked_seed(value) -> int:
+    """The event-stream seed, rejected outside [0, 2^64).
+
+    SplitMix64 reduces seeds mod 2^64, so a seed outside that range would
+    reproduce another seed's stream while the log records a different one.
+    """
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"seed must be an integer, got {value!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _run_sample(config: ScenarioConfig):
     params = config.parameters
     if config.output != "csv":
@@ -321,7 +336,7 @@ def _run_sample(config: ScenarioConfig):
         basis,
         params["order"],
         int(params["count"]),
-        int(params["seed"]),
+        _checked_seed(params["seed"]),
         scenario_id,
         labels,
     )

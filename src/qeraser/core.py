@@ -13,6 +13,7 @@ after the corresponding assertion has passed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .errors import (
 ATOL = 1e-12
 #: Conditioning on an outcome below this probability is an error, not a NaN.
 ZERO_PROBABILITY = 1e-15
+#: Floats squared at a time by the PureState norm check.
+_NORM_BLOCK = 1 << 16
 
 
 def _as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -66,7 +69,14 @@ class PureState:
         vec = _as_complex_vector(
             self.amplitudes, self.system_dim * self.marker_dim, "amplitudes"
         ).copy()
-        sq_norm = float(np.real(np.vdot(vec, vec)))
+        # numpy's pairwise sum, in blocks: a BLAS dot product accumulates
+        # enough rounding error at ~10^5 amplitudes to miss the 1e-12 check
+        # on one thread, and blocks keep the squared copy small.
+        parts = vec.view(np.float64)
+        sq_norm = math.fsum(
+            float(np.sum(np.square(parts[i : i + _NORM_BLOCK])))
+            for i in range(0, parts.size, _NORM_BLOCK)
+        )
         if abs(sq_norm - 1.0) > ATOL:
             raise ValueError(f"state is not normalized: squared norm = {sq_norm!r}")
         vec.setflags(write=False)
@@ -202,6 +212,20 @@ def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
     return residual, _checked_probability(probability, "marker projection probability")
 
 
+def condition_block(block: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Normalize one 2-component marker block of a system outcome.
+
+    Returns (normalized conditional, squared norm of the block). `what`
+    names the outcome in errors. Raises ZeroProbabilityError when the
+    block carries probability below ZERO_PROBABILITY.
+    """
+    probability = float(np.real(np.vdot(block, block)))
+    if probability < ZERO_PROBABILITY:
+        raise ZeroProbabilityError(f"{what} has probability {probability!r}")
+    conditional = block / np.sqrt(probability)
+    return conditional, _checked_probability(probability, f"{what} probability")
+
+
 def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, float]:
     """Condition the marker on one system outcome (0-based index).
 
@@ -211,14 +235,34 @@ def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, flo
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    block = state.marker_block(system_index)
-    probability = float(np.real(np.vdot(block, block)))
-    if probability < ZERO_PROBABILITY:
-        raise ZeroProbabilityError(
-            f"system outcome {system_index} has probability {probability!r}"
-        )
-    conditional = block / np.sqrt(probability)
-    return conditional, _checked_probability(probability, "system outcome probability")
+    return condition_block(state.marker_block(system_index), f"system outcome {system_index}")
+
+
+def condition_on_system(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Condition the marker on every system outcome at once.
+
+    Returns (weights[S], conditionals[S, 2]): row s holds the probability
+    of system outcome s and the normalized marker state it leaves, as
+    project_system would return them. Zero-row rule: an outcome below
+    ZERO_PROBABILITY, for which project_system raises, gets weight 0 and
+    an all-zero conditional instead, so it drops out of any table built
+    as weights * |overlap|^2.
+    """
+    if state.marker_dim != 2:
+        raise NoMarkerError("state has no marker to condition")
+    table = state.amplitudes.reshape(state.system_dim, 2)
+    # Each row as 4 reals (re, im of both components): one sum of squares.
+    parts = state.amplitudes.view(np.float64).reshape(state.system_dim, 4)
+    probabilities = np.einsum("ij,ij->i", parts, parts)
+    live = probabilities >= ZERO_PROBABILITY
+    conditionals = np.zeros_like(table)
+    np.divide(table, np.sqrt(probabilities)[:, None], out=conditionals, where=live[:, None])
+    # _checked_probability over the whole array; sums of squares are >= 0.
+    worst = float(np.max(probabilities))
+    if worst > 1.0 + ATOL:
+        raise AssertionError(f"system outcome probability out of range: {worst!r}")
+    weights = np.where(live, np.minimum(probabilities, 1.0), 0.0)
+    return weights, conditionals
 
 
 def reduced_marker_density(state: PureState) -> DensityOperator:
@@ -245,4 +289,10 @@ def fidelity_pure(rho: DensityOperator, target) -> float:
     if abs(float(np.real(np.vdot(vec, vec))) - 1.0) > ATOL:
         raise ValueError("target state is not normalized")
     value = float(np.real(np.vdot(vec, rho.matrix @ vec)))
+    return _checked_probability(value, "fidelity")
+
+
+def overlap_fidelity(vector, target) -> float:
+    """|<target|vector>|^2: fidelity_pure of the pure state |vector><vector|."""
+    value = abs(complex(np.vdot(target, vector))) ** 2
     return _checked_probability(value, "fidelity")

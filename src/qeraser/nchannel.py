@@ -225,9 +225,11 @@ class DelayedMarker(NamedTuple):
 def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarker:
     """Conditional marker state after detection at detector j (1-based).
 
-    For a pure joint state the conditional is itself pure; its purity is
-    computed and asserted to be 1. Fidelities against the theta = 0
-    erasure pair are reported alongside. Raises ZeroProbabilityError for
+    The conditional is read off with core.project_system. For a pure joint
+    state it is itself pure: its purity trace(rho^2) = <c|c>^2 is computed
+    and asserted to be 1, with no density matrix built. Fidelities
+    |<d|c>|^2 against the theta = 0 erasure pair are reported alongside,
+    range-checked and clamped to [0, 1]. Raises ZeroProbabilityError for
     detectors that never fire.
     """
     if not 1 <= detector_j <= state.system_dim:
@@ -235,13 +237,12 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
             f"detector {detector_j} out of 1..{state.system_dim}"
         )
     conditional, _ = core.project_system(state, detector_j - 1)
-    rho = core.DensityOperator(np.outer(conditional, conditional.conj()))
-    p = core.purity(rho)
+    p = float(np.real(np.vdot(conditional, conditional))) ** 2
     assert abs(p - 1.0) <= core.ATOL, "conditional marker of a pure state must be pure"
     basis = erasure_basis(0.0)
     return DelayedMarker(
         MarkerState.from_vector(conditional, f"detector{detector_j}"),
         p,
-        core.fidelity_pure(rho, basis.plus.vector),
-        core.fidelity_pure(rho, basis.minus.vector),
+        core.overlap_fidelity(conditional, basis.plus.vector),
+        core.overlap_fidelity(conditional, basis.minus.vector),
     )

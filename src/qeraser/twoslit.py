@@ -99,6 +99,8 @@ class ScreenGrid:
         bins = self.geometry.bins
         if pos.size != bins or env.size != bins or theta.size != bins:
             raise InvalidGeometryError("grid arrays must match the bin count")
+        if not np.all(np.isfinite(env)):
+            raise InvalidGeometryError("envelope must be finite")
         if np.min(env) < 0:
             raise InvalidGeometryError("envelope must be non-negative")
         geo = self.geometry
@@ -133,6 +135,8 @@ def build_grid(
 
     envelope is "flat" or "gaussian"; the gaussian case needs sigma > 0
     and produces |psi(x)|^2 proportional to exp(-x^2 / (2 sigma^2)).
+    Raises InvalidGeometryError when the sampled envelope has zero or
+    non-finite norm, e.g. a gaussian that underflows on every bin.
     """
     dx = geometry.dx
     positions = geometry.x_min + np.arange(geometry.bins) * dx
@@ -145,7 +149,12 @@ def build_grid(
         env = np.exp(-(positions**2) / (4.0 * sigma * sigma))
     else:
         raise InvalidGeometryError(f"unknown envelope kind {envelope!r}")
-    env = env / math.sqrt(float(np.sum(env**2)) * dx)
+    norm_sq = float(np.sum(env**2)) * dx
+    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+        raise InvalidGeometryError(
+            f"envelope has squared norm {norm_sq!r} on the grid; widen sigma or move the screen"
+        )
+    env = env / math.sqrt(norm_sq)
     return ScreenGrid(geometry, positions, theta_x, env)
 
 
@@ -159,13 +168,19 @@ def bare_state(grid: ScreenGrid) -> core.PureState:
     return core.make_state((grid.bins, 1), amps)
 
 
+def _marked_amplitudes(grid: ScreenGrid, bins=slice(None)) -> np.ndarray:
+    """(len(bins), 2) table psi sqrt(dx) e^{+-i theta_x} / sqrt(2) of some bins."""
+    scale = grid.envelope[bins] * math.sqrt(grid.dx) / math.sqrt(2.0)
+    theta_x = grid.theta_x[bins]
+    table = np.empty((scale.size, 2), dtype=np.complex128)
+    table[:, 0] = scale * np.exp(1j * theta_x)
+    table[:, 1] = scale * np.exp(-1j * theta_x)
+    return table
+
+
 def marked_state(grid: ScreenGrid) -> core.PureState:
     """Screen (x) marker state: psi sqrt(dx) e^{+-i theta_x} / sqrt(2) per bin."""
-    scale = grid.envelope * math.sqrt(grid.dx) / math.sqrt(2.0)
-    table = np.empty((grid.bins, 2), dtype=np.complex128)
-    table[:, 0] = scale * np.exp(1j * grid.theta_x)
-    table[:, 1] = scale * np.exp(-1j * grid.theta_x)
-    return core.make_state((grid.bins, 2), table.reshape(-1))
+    return core.make_state((grid.bins, 2), _marked_amplitudes(grid).reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,21 +245,23 @@ class ScreenMarker(NamedTuple):
 def delayed_marker_state_at(grid: ScreenGrid, bin_k: int) -> ScreenMarker:
     """Conditional marker state after a landing in bin k (0-based).
 
-    The conditional is exactly plus(theta_x) for the bin's own theta_x;
-    the reported fidelity against that state is 1 for every bin with
-    nonzero envelope. Raises ZeroProbabilityError where the envelope
-    vanishes.
+    Only bin k's two amplitudes are built (the same formula as
+    marked_state, without the full screen state) and normalized with
+    core.condition_block. The conditional is exactly plus(theta_x) for the
+    bin's own theta_x; the reported fidelity against that state is 1 for
+    every bin with nonzero envelope. Raises ZeroProbabilityError where the
+    envelope vanishes.
     """
     if not 0 <= bin_k < grid.bins:
         raise IndexOutOfRangeError(f"bin {bin_k} out of 0..{grid.bins - 1}")
-    conditional, _ = core.project_system(marked_state(grid), bin_k)
+    block = _marked_amplitudes(grid, slice(bin_k, bin_k + 1))[0]
+    conditional, _ = core.condition_block(block, f"bin {bin_k}")
     theta_x = float(grid.theta_x[bin_k])
     target = erasure_basis(theta_x).plus
-    fidelity = abs(complex(np.vdot(target.vector, conditional))) ** 2
     return ScreenMarker(
         theta_x,
         MarkerState.from_vector(conditional, f"bin{bin_k}"),
-        min(max(fidelity, 0.0), 1.0),
+        core.overlap_fidelity(conditional, target.vector),
     )
 
 

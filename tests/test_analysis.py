@@ -52,6 +52,21 @@ class TestJointDistribution:
         assert np.max(np.abs(first.probabilities - second.probabilities)) < 1e-12
         assert first.row_labels == second.row_labels
 
+    @pytest.mark.parametrize(
+        "order, patched", [(SYSTEM_FIRST, "project_marker"), (MARKER_FIRST, "condition_on_system")]
+    )
+    def test_orders_are_separate_arithmetic(self, monkeypatch, order, patched):
+        """Each ordering builds its table without the other's projection."""
+
+        def unavailable(*args, **kwargs):
+            raise RuntimeError(f"{patched} must not be used by {order}")
+
+        state = final_state_marked(default_config(6))
+        expected = joint_distribution(state, erasure_basis(0.4), order).probabilities
+        monkeypatch.setattr(core, patched, unavailable)
+        table = joint_distribution(state, erasure_basis(0.4), order)
+        assert np.array_equal(table.probabilities, expected)
+
     def test_system_labels(self):
         state = final_state_marked(default_config(4))
         table = joint_distribution(
@@ -240,7 +255,27 @@ class TestSampling:
         ]
 
 
+def loop_mutual_information(probs):
+    """Cell-by-cell reference sum, with 0 log 0 = 0."""
+    row, col = probs.sum(axis=1), probs.sum(axis=0)
+    info = 0.0
+    for i in range(probs.shape[0]):
+        for j in range(probs.shape[1]):
+            if probs[i, j] > 0.0:
+                info += probs[i, j] * math.log2(probs[i, j] / (row[i] * col[j]))
+    return info
+
+
 class TestMutualInformation:
+    def test_matches_cell_loop(self):
+        rng = np.random.default_rng(11)
+        for rows in (1, 2, 7, 300):
+            probs = rng.random((rows, 2)) * (rng.random((rows, 2)) > 0.3)
+            probs[0, 0] += 0.1
+            table = analysis.JointTable(tuple(range(rows)), ("c", "d"), probs / probs.sum())
+            expected = loop_mutual_information(table.probabilities)
+            assert mutual_information(table) == pytest.approx(expected, abs=1e-12)
+
     def test_zero_times_log_zero_convention(self):
         table = analysis.JointTable(("a", "b"), ("c", "d"), np.array([[0.5, 0.0], [0.0, 0.5]]))
         assert mutual_information(table) == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,22 @@ class TestNChannel:
         assert len(rows) == n
 
 
+class TestOneBlasThread:
+    def test_hundred_thousand_channels(self, tmp_path):
+        """The state norm check must not depend on the BLAS thread count."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "wide.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeraser.cli", "nchannel", "--n", "100000",
+             "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 100002
+
+
 class TestTwoSlit:
     def test_svg_contains_chart_and_condition(self, tmp_path, capsys):
         out = tmp_path / "fringes.svg"
@@ -137,6 +157,23 @@ class TestTwoSlit:
         assert code == 0
         _, _, rows = read_csv(out)
         assert len(rows) == 128
+
+    def test_underflowing_envelope_is_one_json_error(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["twoslit", "--preset", "custom", "--d", "2", "--wavelength", "1",
+             "--L", "1000", "--x-min", "1000", "--x-max", "2000", "--bins", "512",
+             "--envelope", "gaussian", "--sigma", "1e-3",
+             "--output", str(tmp_path / "p.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InvalidGeometryError"
+        assert error["exit_code"] == 3
+        assert not (tmp_path / "p.csv").exists()
 
     def test_geometry_flags_with_default_preset_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -214,6 +251,34 @@ class TestSample:
         rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
         # whichpath conditioning of the correlated pair: outcomes always match
         assert all(int(r[2]) == int(r[3]) for r in rows)
+
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2**64), str(2**64 + 3)])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys):
+        code, out, err = run_cli(
+            ["sample", "--count", "5", "--seed", seed, "-o", "-"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed, capsys):
+        code, out, _ = run_cli(
+            ["sample", "--count", "5", "--seed", str(seed), "-o", "-"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[2].endswith(f",{seed}")
+
+    @pytest.mark.parametrize(
+        "seed, expected", [(-1, 3), (2**64, 3), ("x", 3), (2**64 - 1, 0), (0, 0)]
+    )
+    def test_config_file_seed_range(self, tmp_path, capsys, seed, expected):
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps({"kind": "sample", "parameters": {"seed": seed, "count": 5}}))
+        code, _, err = run_cli(["sample", "--config", str(path), "-o", "-"], capsys)
+        assert code == expected
+        if expected:
+            assert json.loads(err)["error"] == "ValidationError"
 
     def test_non_csv_format_rejected(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from qeraser.analysis import SYSTEM_FIRST, joint_distribution
 from qeraser.core import (
+    ZERO_PROBABILITY,
     DensityOperator,
     PureState,
+    condition_on_system,
     fidelity_pure,
     inner_product,
     make_state,
+    overlap_fidelity,
     project_marker,
     project_system,
     purity,
@@ -24,6 +28,7 @@ from qeraser.errors import (
     ZeroNormError,
     ZeroProbabilityError,
 )
+from qeraser.marker import erasure_basis
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -51,6 +56,28 @@ def marked_states(draw, max_system=6):
     )
     amps = [complex(re, im) for re, im in parts]
     assume(math.sqrt(sum(abs(a) ** 2 for a in amps)) > 1e-3)
+    return make_state((n, 2), amps)
+
+
+@st.composite
+def marked_states_with_dead_rows(draw, max_system=8):
+    """Marked states in which some rows are exactly zero or below threshold."""
+    n = draw(st.integers(2, max_system))
+    parts = draw(
+        st.lists(st.tuples(_component, _component), min_size=2 * n, max_size=2 * n)
+    )
+    amps = [complex(re, im) for re, im in parts]
+    kinds = draw(st.lists(st.sampled_from(("live", "zero", "tiny")), min_size=n, max_size=n))
+    for row, kind in enumerate(kinds):
+        if kind != "live":
+            scale = 0.0 if kind == "zero" else 1e-12
+            amps[2 * row] *= scale
+            amps[2 * row + 1] *= scale
+    live_norm = math.sqrt(
+        sum(abs(amps[2 * r]) ** 2 + abs(amps[2 * r + 1]) ** 2
+            for r, kind in enumerate(kinds) if kind == "live")
+    )
+    assume(live_norm > 1e-3)
     return make_state((n, 2), amps)
 
 
@@ -202,6 +229,46 @@ class TestProjectSystem:
         state = make_state((2, 2), [1, 1, 0, 0])
         with pytest.raises(ZeroProbabilityError):
             project_system(state, 1)
+
+
+class TestConditionOnSystem:
+    @given(marked_states_with_dead_rows(), marker_angles())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_projection(self, state, theta):
+        weights, conditionals = condition_on_system(state)
+        assert weights.shape == (state.system_dim,)
+        assert conditionals.shape == (state.system_dim, 2)
+        table = joint_distribution(state, erasure_basis(theta), SYSTEM_FIRST)
+        for row in range(state.system_dim):
+            try:
+                conditional, weight = project_system(state, row)
+            except ZeroProbabilityError:
+                assert weights[row] == 0.0
+                assert np.all(conditionals[row] == 0.0)
+                assert np.all(table.probabilities[row] == 0.0)
+                continue
+            assert abs(weights[row] - weight) < 1e-12
+            assert np.max(np.abs(conditionals[row] - conditional)) < 1e-12
+
+    def test_zero_row_rule(self):
+        state = make_state((3, 2), [1, 1, 0, 0, 1e-9, 0])
+        weights, conditionals = condition_on_system(state)
+        assert weights[1] == 0.0 and weights[2] == 0.0
+        assert state.system_probabilities()[2] < ZERO_PROBABILITY
+        assert np.all(conditionals[1:] == 0.0)
+        assert np.allclose(conditionals[0], [SQ, SQ], atol=1e-12)
+
+    def test_requires_marker(self):
+        with pytest.raises(NoMarkerError):
+            condition_on_system(make_state((2, 1), [1, 1]))
+
+    def test_overlap_fidelity_equals_rank_one_fidelity_pure(self):
+        vec = np.array([0.6, 0.8j])
+        target = np.array([SQ, SQ])
+        rho = DensityOperator(np.outer(vec, vec.conj()))
+        assert overlap_fidelity(vec, target) == pytest.approx(
+            fidelity_pure(rho, target), abs=1e-12
+        )
 
 
 class TestDensity:

@@ -210,6 +210,21 @@ class TestDelayedMode:
             best = thetas[int(np.argmax(fidelities))]
             assert abs(best - predicted) <= thetas[1] - thetas[0]
 
+    def test_matches_rank_one_density_operator(self):
+        state = final_state_marked(random_config(12, 3))
+        plus, minus = erasure_basis(0.0).states
+        for j in range(1, 13):
+            result = delayed_marker_state(state, j)
+            vec = result.marker_state.vector
+            rho = core.DensityOperator(np.outer(vec, vec.conj()))
+            assert result.purity == pytest.approx(core.purity(rho), abs=1e-12)
+            assert result.fidelity_dplus == pytest.approx(
+                core.fidelity_pure(rho, plus.vector), abs=1e-12
+            )
+            assert result.fidelity_dminus == pytest.approx(
+                core.fidelity_pure(rho, minus.vector), abs=1e-12
+            )
+
     def test_detector_index_is_one_based(self):
         state = final_state_marked(default_config(4))
         with pytest.raises(IndexOutOfRangeError):

@@ -86,6 +86,17 @@ class TestGrid:
         with pytest.raises(InvalidGeometryError):
             build_grid(default_geometry(), "lorentzian")
 
+    def test_underflowing_envelope_rejected(self):
+        geometry = ScreenGeometry(2.0, 1.0, 1000.0, 1000.0, 2000.0, 512)
+        with pytest.raises(InvalidGeometryError, match="norm"):
+            build_grid(geometry, "gaussian", sigma=1e-3)
+
+    def test_non_finite_envelope_rejected(self):
+        env = GRID.envelope.copy()
+        env[3] = float("nan")
+        with pytest.raises(InvalidGeometryError, match="finite"):
+            ScreenGrid(GRID.geometry, GRID.positions, GRID.theta_x, env)
+
 
 class TestPatterns:
     def test_no_marker_peaks_and_nulls(self):
@@ -206,6 +217,14 @@ class TestDelayedMode:
             vec = result.marker_state.vector
             rho = core.DensityOperator(np.outer(vec, vec.conj()))
             assert abs(core.purity(rho) - 1.0) < 1e-12
+
+    def test_matches_projection_of_full_screen_state(self):
+        grid = build_grid(default_geometry(), "gaussian", sigma=300.0)
+        state = marked_state(grid)
+        for k in range(0, grid.bins, 7):
+            conditional, _ = core.project_system(state, k)
+            result = delayed_marker_state_at(grid, k)
+            assert np.max(np.abs(result.marker_state.vector - conditional)) < 1e-12
 
     def test_zero_envelope_bin_rejected(self):
         env = np.ones(512)
