@@ -34,14 +34,12 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .marker import MarkerBasis, MarkerState
+from .marker import basis_pair
 from .rng import SplitMix64
 
 MARKER_FIRST = "marker_first"
 SYSTEM_FIRST = "system_first"
 ORDERS = (MARKER_FIRST, SYSTEM_FIRST)
-
-TABLE_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,26 +51,14 @@ class JointTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64).copy()
+        probs = np.asarray(self.probabilities, dtype=np.float64)
         rows, cols = len(self.row_labels), len(self.col_labels)
         if probs.shape != (rows, cols):
             raise ValueError(f"table shape {probs.shape} does not match labels")
-        if np.min(probs) < -core.ATOL:
-            raise AssertionError("joint table has a negative entry")
-        if abs(float(np.sum(probs)) - 1.0) > TABLE_ATOL:
-            raise AssertionError("joint table does not sum to 1")
-        probs = np.clip(probs, 0.0, 1.0)
-        probs.setflags(write=False)
+        probs = core.checked_probabilities(probs, "joint table entries")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-
-
-def _basis_states(marker_basis) -> tuple[MarkerState, MarkerState]:
-    if isinstance(marker_basis, MarkerBasis):
-        return marker_basis.states
-    first, second = marker_basis
-    return (first, second)
 
 
 def joint_distribution(
@@ -96,7 +82,7 @@ def joint_distribution(
         raise NoMarkerError("joint distribution requires a marked state")
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    states = _basis_states(marker_basis)
+    states = basis_pair(marker_basis)
     if system_labels is None:
         system_labels = tuple(range(state.system_dim))
     else:

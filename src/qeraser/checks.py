@@ -132,14 +132,14 @@ def _fringe_width() -> float:
 
 
 _CHECKS: list[tuple[str, Callable[[], float], float]] = [
-    ("bright/dark channels (n=10 bare)", _bright_dark, 1e-12),
-    ("marker washes interference (uniform 1/n)", _marked_uniform, 1e-12),
-    ("eraser recovery (odd/even split)", _eraser_recovery, 1e-12),
-    ("delayed definiteness (channels)", _delayed_definiteness, 1e-12),
-    ("delayed definiteness (screen)", _screen_definiteness, 1e-12),
-    ("complementary patterns sum to envelope", _complementarity, 1e-12),
-    ("measurement-ordering invariance", _ordering_invariance, 1e-12),
-    ("spin-pair correlation tables", _spin_pair_tables, 1e-12),
+    ("bright/dark channels (n=10 bare)", _bright_dark, core.ATOL),
+    ("marker washes interference (uniform 1/n)", _marked_uniform, core.ATOL),
+    ("eraser recovery (odd/even split)", _eraser_recovery, core.ATOL),
+    ("delayed definiteness (channels)", _delayed_definiteness, core.ATOL),
+    ("delayed definiteness (screen)", _screen_definiteness, core.ATOL),
+    ("complementary patterns sum to envelope", _complementarity, core.ATOL),
+    ("measurement-ordering invariance", _ordering_invariance, core.ATOL),
+    ("spin-pair correlation tables", _spin_pair_tables, core.ATOL),
     ("fringe width equals wavelength*L/d", _fringe_width, twoslit.default_geometry().dx),
 ]
 

@@ -8,10 +8,12 @@ epr        joint outcome table for the correlated spin pair
 sample     seeded event log (CSV) drawn from the exact joint table
 check      run the built-in invariant suite
 
-Scenarios can be driven by flags, by a JSON config file, or both; flags
-override file values and the effective configuration is echoed into every
-artifact header, so any artifact can be reproduced from itself. Identical
-configuration and seed yield byte-identical CSV/JSON artifacts.
+Every parameter is declared once, in SCENARIOS; the flags, the defaults,
+the checks on config-file values and the format dispatch are derived from
+it. Scenarios can be driven by flags, by a JSON config file, or both;
+flags override file values and the effective configuration is echoed into
+every artifact header, so any artifact can be reproduced from itself.
+Identical configuration and seed yield byte-identical CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 failed checks, 2 parse error, 3 validation
 error, 4 I/O error. Errors are reported as one JSON object on stderr.
@@ -25,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,11 +37,11 @@ from .marker import erasure_basis, which_path_basis
 
 ENV_OUT_DIR = "QERASER_OUT_DIR"
 FLOAT_FMT = "{:.17g}"
+FORMATS = ("csv", "json", "svg")
 
 
 class _ParseExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A malformed command line or config file (exit 2)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,64 +57,89 @@ class ScenarioConfig:
     output_path: str | None = None
 
 
-_DEFAULTS = {
-    "nchannel": {
-        "n": None,  # 10 for the default preset, list length for custom
-        "preset": "default",
-        "thetas": None,
-        "phis": None,
-        "bare": False,
-        "condition": "none",
-        "theta": 0.0,
-    },
-    "twoslit": {
-        "preset": "default",
-        "d": None,
-        "wavelength": None,
-        "L": None,
-        "x_min": None,
-        "x_max": None,
-        "bins": None,
-        "envelope": "flat",
-        "sigma": None,
-        "kind": "conditioned",
-        "theta": 0.0,
-        "sign": "plus",
-    },
-    "epr": {"basis1": "z", "basis2": "z"},
-    "sample": {
-        "scenario": "nchannel",
-        "n": None,
-        "preset": "default",
-        "thetas": None,
-        "phis": None,
-        "basis": "erasure",
-        "theta": 0.0,
-        "order": analysis.SYSTEM_FIRST,
-        "count": 1000,
-        "seed": 1,
-        "scenario_id": None,
-    },
+# -- parameter declarations ---------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # An integer beyond the float range would overflow in float().
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
+def _phase_list(value) -> list | None:
+    """Phases from a comma-separated string or a list of numbers; None if malformed."""
+    if isinstance(value, str):
+        try:
+            return [float(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            return None
+    if isinstance(value, list) and all(map(_is_real, value)):
+        return value
+    return None
+
+
+#: Value check and its description for each parameter type; `list` marks
+#: a phase vector, given as a comma-separated string or a JSON list.
+_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_real, "a number"),
+    bool: (lambda value: isinstance(value, bool), "true or false"),
+    str: (lambda value: isinstance(value, str), "a string"),
+    list: (lambda value: _phase_list(value) is not None, "numbers, as a list or comma-separated"),
 }
 
-_CONDITIONS = ("none", "d1", "d2", "dplus", "dminus")
+
+class Param(NamedTuple):
+    """One scenario parameter: config key `name`, flag --name with _ as -."""
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+
+    def check(self, value) -> None:
+        """Raise ValidationError unless the flag would accept the value.
+
+        A null value stands for the default where that is null.
+        """
+        if value is None and self.default is None:
+            return
+        if self.choices:
+            ok = isinstance(value, str) and value in self.choices
+            expected = f"one of {list(self.choices)}"
+        else:
+            accepts, expected = _TYPES[self.type]
+            ok = accepts(value)
+        if not ok:
+            raise ValidationError(f"parameter {self.name!r} must be {expected}, got {value!r}")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        flag = "--" + self.name.replace("_", "-")
+        if self.type is bool:
+            parser.add_argument(flag, dest=self.name, action="store_true", help=self.help)
+        else:
+            flag_type = {int: int, float: float}.get(self.type)
+            parser.add_argument(
+                flag, dest=self.name, type=flag_type, choices=self.choices or None, help=self.help
+            )
 
 
-def _phase_list(text):
-    if text is None or isinstance(text, list):
-        return text
-    return [float(part) for part in str(text).split(",") if part.strip()]
+class Scenario(NamedTuple):
+    """One subcommand: parameters, runner -> (result, stem), formats.
 
+    `formats` names each format's emitter in this module, looked up at
+    render time so that wrappers rebound on the module (perfbench's
+    tracer) see the call; `format_error` rejects every other format.
+    """
 
-def _merge_parameters(kind: str, file_params: dict, flag_params: dict) -> dict:
-    defaults = _DEFAULTS[kind]
-    unknown = set(file_params) - set(defaults)
-    if unknown:
-        raise ValidationError(f"unknown parameter keys for {kind}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(file_params)
-    merged.update(flag_params)
-    return merged
+    params: tuple[Param, ...]
+    runner: Callable[[dict], tuple]
+    formats: dict[str, str]
+    format_error: str = ""
 
 
 def _load_config_file(path: str) -> dict:
@@ -127,7 +155,31 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     if "parameters" in raw and not isinstance(raw["parameters"], dict):
         raise ValidationError("config 'parameters' must be an object")
+    if not isinstance(raw.get("output_path", ""), (str, type(None))):
+        raise ValidationError("config 'output_path' must be a string")
     return raw
+
+
+def _merge_parameters(kind: str, file_params: dict, flag_params: dict) -> dict:
+    """Defaults, overridden by file values, overridden by flags.
+
+    Every file value and flag is checked against its Param. File values
+    are kept as given, so the config echo reproduces them; phase flags
+    are echoed as number lists.
+    """
+    declared = {param.name: param for param in SCENARIOS[kind].params}
+    unknown = set(file_params) - set(declared)
+    if unknown:
+        raise ValidationError(f"unknown parameter keys for {kind}: {sorted(unknown)}")
+    merged = {name: param.default for name, param in declared.items()}
+    for values in (file_params, flag_params):
+        for name, value in values.items():
+            declared[name].check(value)
+        merged.update(values)
+    for name, value in flag_params.items():
+        if declared[name].type is list:
+            merged[name] = _phase_list(value)
+    return merged
 
 
 def _build_config(kind: str, ns: argparse.Namespace) -> ScenarioConfig:
@@ -141,9 +193,6 @@ def _build_config(kind: str, ns: argparse.Namespace) -> ScenarioConfig:
         raise ValidationError(
             f"config file kind {file_raw.get('kind')!r} does not match subcommand {kind!r}"
         )
-    for key in ("thetas", "phis"):
-        if key in flags:
-            flags[key] = _phase_list(flags[key])
     params = _merge_parameters(kind, file_raw.get("parameters", {}), flags)
     return ScenarioConfig(
         kind,
@@ -168,17 +217,15 @@ def _config_echo(config: ScenarioConfig) -> str:
 
 
 def _nchannel_config(params) -> nchannel.PhaseConfig:
+    thetas, phis = _phase_list(params["thetas"]), _phase_list(params["phis"])
     if params["preset"] == "default":
-        if params["thetas"] is not None or params["phis"] is not None:
+        if thetas is not None or phis is not None:
             raise ValidationError("preset 'default' does not take phase vectors")
-        return nchannel.default_config(int(params["n"]) if params["n"] is not None else 10)
-    if params["preset"] == "custom":
-        thetas, phis = _phase_list(params["thetas"]), _phase_list(params["phis"])
-        if thetas is None or phis is None:
-            raise ValidationError("preset 'custom' requires thetas and phis")
-        n = int(params["n"]) if params["n"] is not None else len(thetas)
-        return nchannel.PhaseConfig(n, thetas, phis)
-    raise ValidationError(f"unknown preset {params['preset']!r}")
+        return nchannel.default_config(params["n"] if params["n"] is not None else 10)
+    if thetas is None or phis is None:
+        raise ValidationError("preset 'custom' requires thetas and phis")
+    n = params["n"] if params["n"] is not None else len(thetas)
+    return nchannel.PhaseConfig(n, thetas, phis)
 
 
 def _marker_for(condition: str, theta: float):
@@ -191,11 +238,8 @@ def _marker_for(condition: str, theta: float):
     return basis.plus if condition == "dplus" else basis.minus
 
 
-def _run_nchannel(config: ScenarioConfig):
-    params = config.parameters
+def _run_nchannel(params):
     condition = params["condition"]
-    if condition not in _CONDITIONS:
-        raise ValidationError(f"condition must be one of {_CONDITIONS}")
     phase_config = _nchannel_config(params)
     if params["bare"]:
         if condition != "none":
@@ -223,30 +267,18 @@ def _run_nchannel(config: ScenarioConfig):
 
 
 def _twoslit_geometry(params) -> twoslit.ScreenGeometry:
+    values = [params[k] for k in ("d", "wavelength", "L", "x_min", "x_max", "bins")]
     if params["preset"] == "default":
-        geometry_keys = ("d", "wavelength", "L", "x_min", "x_max", "bins")
-        if any(params[k] is not None for k in geometry_keys):
+        if any(v is not None for v in values):
             raise ValidationError("preset 'default' does not take geometry fields")
         return twoslit.default_geometry()
-    if params["preset"] == "custom":
-        try:
-            return twoslit.ScreenGeometry(
-                float(params["d"]),
-                float(params["wavelength"]),
-                float(params["L"]),
-                float(params["x_min"]),
-                float(params["x_max"]),
-                int(params["bins"]),
-            )
-        except (TypeError, KeyError):
-            raise ValidationError(
-                "preset 'custom' requires d, wavelength, L, x_min, x_max, bins"
-            ) from None
-    raise ValidationError(f"unknown preset {params['preset']!r}")
+    if None in values:
+        raise ValidationError("preset 'custom' requires d, wavelength, L, x_min, x_max, bins")
+    *lengths, bins = values
+    return twoslit.ScreenGeometry(*map(float, lengths), bins)
 
 
-def _run_twoslit(config: ScenarioConfig):
-    params = config.parameters
+def _run_twoslit(params):
     geometry = _twoslit_geometry(params)
     sigma = params["sigma"]
     grid = twoslit.build_grid(
@@ -257,12 +289,10 @@ def _run_twoslit(config: ScenarioConfig):
         pattern = twoslit.pattern_no_marker(grid)
     elif kind == "washed":
         pattern = twoslit.pattern_marked_unconditioned(grid)
-    elif kind == "conditioned":
+    else:
         pattern, _ = twoslit.pattern_conditioned(
             grid, float(params["theta"]), params["sign"]
         )
-    else:
-        raise ValidationError("kind must be conditioned, bare, or washed")
     title_tag = pattern.condition if kind == "conditioned" else kind
     payload = {
         "x": grid.positions,
@@ -276,8 +306,7 @@ def _run_twoslit(config: ScenarioConfig):
     return payload, stem
 
 
-def _run_epr(config: ScenarioConfig):
-    params = config.parameters
+def _run_epr(params):
     table = analysis.epr_correlation_table(params["basis1"], params["basis2"])
     return table, f"epr_{params['basis1']}{params['basis2']}"
 
@@ -285,12 +314,7 @@ def _run_epr(config: ScenarioConfig):
 def _sample_state_and_basis(params):
     scenario = params["scenario"]
     theta = float(params["theta"])
-    if params["basis"] == "whichpath":
-        basis = which_path_basis()
-    elif params["basis"] == "erasure":
-        basis = erasure_basis(theta)
-    else:
-        raise ValidationError("basis must be 'whichpath' or 'erasure'")
+    basis = which_path_basis() if params["basis"] == "whichpath" else erasure_basis(theta)
     if scenario == "nchannel":
         phase_config = _nchannel_config(params)
         state = nchannel.final_state_marked(phase_config)
@@ -301,46 +325,95 @@ def _sample_state_and_basis(params):
         state = twoslit.marked_state(grid)
         labels = list(range(grid.bins))
         tag = "twoslit-default"
-    elif scenario == "epr":
+    else:
         state = analysis.epr_state()
         labels = [0, 1]
         tag = "epr"
-    else:
-        raise ValidationError("scenario must be nchannel, twoslit, or epr")
     return state, basis, labels, f"{tag}-{params['basis']}-theta{theta:g}"
 
 
-def _checked_seed(value) -> int:
-    """The event-stream seed, rejected outside [0, 2^64).
-
-    SplitMix64 reduces seeds mod 2^64, so a seed outside that range would
-    reproduce another seed's stream while the log records a different one.
-    """
-    try:
-        seed = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"seed must be an integer, got {value!r}") from None
+def _run_sample(params):
+    seed = params["seed"]
+    # SplitMix64 reduces seeds mod 2^64, so a seed outside that range would
+    # reproduce another seed's stream while the log records a different one.
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
-
-
-def _run_sample(config: ScenarioConfig):
-    params = config.parameters
-    if config.output != "csv":
-        raise ValidationError("event logs are CSV only")
     state, basis, labels, derived_id = _sample_state_and_basis(params)
     scenario_id = params["scenario_id"] or derived_id
     events = analysis.sample_events(
-        state,
-        basis,
-        params["order"],
-        int(params["count"]),
-        _checked_seed(params["seed"]),
-        scenario_id,
-        labels,
+        state, basis, params["order"], params["count"], seed, scenario_id, labels
     )
     return events, f"events_{scenario_id}"
+
+
+_PRESET = Param("preset", default="default", choices=("default", "custom"))
+#: The channel configuration, shared by nchannel and sample.
+_PHASE_PARAMS = (
+    Param("n", int),
+    _PRESET,
+    Param("thetas", list, help="comma-separated path-A phases (radians)"),
+    Param("phis", list, help="comma-separated path-B phases (radians)"),
+)
+_PATTERN_FORMATS = {
+    "csv": "emit_pattern_csv",
+    "json": "emit_pattern_json",
+    "svg": "emit_pattern_svg",
+}
+
+SCENARIOS = {
+    "nchannel": Scenario(
+        _PHASE_PARAMS
+        + (
+            Param("bare", bool, False, help="drop the path marker"),
+            Param("condition", default="none", choices=("none", "d1", "d2", "dplus", "dminus")),
+            Param("theta", float, 0.0, help="erasure basis angle for dplus/dminus"),
+        ),
+        _run_nchannel,
+        _PATTERN_FORMATS,
+    ),
+    "twoslit": Scenario(
+        (
+            _PRESET,
+            Param("d", float, help="slit separation"),
+            Param("wavelength", float),
+            Param("L", float, help="slit-to-screen distance"),
+            Param("x_min", float),
+            Param("x_max", float),
+            Param("bins", int),
+            Param("envelope", default="flat", choices=("flat", "gaussian")),
+            Param("sigma", float),
+            Param("kind", default="conditioned", choices=("conditioned", "bare", "washed")),
+            Param("theta", float, 0.0, help="erasure basis angle"),
+            Param("sign", default="plus", choices=("plus", "minus")),
+        ),
+        _run_twoslit,
+        _PATTERN_FORMATS,
+    ),
+    "epr": Scenario(
+        (
+            Param("basis1", default="z", choices=("z", "x")),
+            Param("basis2", default="z", choices=("z", "x")),
+        ),
+        _run_epr,
+        {"csv": "emit_joint_csv", "json": "emit_joint_json"},
+        "joint tables render as csv or json, not svg",
+    ),
+    "sample": Scenario(
+        (Param("scenario", default="nchannel", choices=("nchannel", "twoslit", "epr")),)
+        + _PHASE_PARAMS
+        + (
+            Param("basis", default="erasure", choices=("whichpath", "erasure")),
+            Param("theta", float, 0.0),
+            Param("order", default=analysis.SYSTEM_FIRST, choices=analysis.ORDERS),
+            Param("count", int, 1000),
+            Param("seed", int, 1),
+            Param("scenario_id"),
+        ),
+        _run_sample,
+        {"csv": "emit_event_log"},
+        "event logs are CSV only",
+    ),
+}
 
 
 # -- emitters -----------------------------------------------------------------
@@ -388,12 +461,9 @@ def emit_pattern_svg(payload, echo: str) -> str:
     probs = np.asarray(payload["p"])
     if probs.size == 0:
         raise ValidationError("cannot emit an empty pattern")
+    chart = _svg.bar_chart if payload["chart"] == "bar" else _svg.line_chart
     comment = f"config: {echo}"
-    if payload["chart"] == "bar":
-        return _svg.bar_chart(
-            payload["x"], probs, payload["title"], payload["x_label"], "probability", comment
-        )
-    return _svg.line_chart(
+    return chart(
         payload["x"], probs, payload["title"], payload["x_label"], "probability", comment
     )
 
@@ -424,43 +494,16 @@ def emit_event_log(events, echo: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_artifact(config: ScenarioConfig, result) -> str:
-    echo = _config_echo(config)
-    if config.kind == "sample":
-        return emit_event_log(result, echo)
-    if config.kind == "epr":
-        if config.output == "json":
-            return emit_joint_json(result, echo)
-        if config.output == "csv":
-            return emit_joint_csv(result, echo)
-        raise ValidationError("joint tables render as csv or json, not svg")
-    payload, _ = result
-    if config.output == "csv":
-        return emit_pattern_csv(payload, echo)
-    if config.output == "json":
-        return emit_pattern_json(payload, echo)
-    if config.output == "svg":
-        return emit_pattern_svg(payload, echo)
-    raise ValidationError(f"unknown output format {config.output!r}")
-
-
 def run(config: ScenarioConfig) -> tuple[str, str]:
     """Execute one scenario; returns (artifact text, default filename stem)."""
-    if config.output not in ("csv", "json", "svg"):
+    if config.output not in FORMATS:
         raise ValidationError(f"unknown output format {config.output!r}")
-    if config.kind == "nchannel":
-        result = _run_nchannel(config)
-        stem = result[1]
-    elif config.kind == "twoslit":
-        result = _run_twoslit(config)
-        stem = result[1]
-    elif config.kind == "epr":
-        result, stem = _run_epr(config)
-    elif config.kind == "sample":
-        result, stem = _run_sample(config)
-    else:
-        raise ValidationError(f"unknown scenario kind {config.kind!r}")
-    return render_artifact(config, result), stem
+    scenario = SCENARIOS[config.kind]
+    if config.output not in scenario.formats:
+        raise ValidationError(scenario.format_error)
+    result, stem = scenario.runner(config.parameters)
+    emitter = globals()[scenario.formats[config.output]]
+    return emitter(result, _config_echo(config)), stem
 
 
 def _resolve_output(config: ScenarioConfig, stem: str) -> Path | None:
@@ -475,61 +518,17 @@ def _resolve_output(config: ScenarioConfig, stem: str) -> Path | None:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON scenario config file")
-    parser.add_argument("--format", choices=("csv", "json", "svg"), dest="format")
-    parser.add_argument("--output", "-o", help="output path ('-' for stdout)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="qeraser", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qeraser {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nchannel", argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--preset", choices=("default", "custom"))
-    p.add_argument("--thetas", help="comma-separated path-A phases (radians)")
-    p.add_argument("--phis", help="comma-separated path-B phases (radians)")
-    p.add_argument("--bare", action="store_true", help="drop the path marker")
-    p.add_argument("--condition", choices=_CONDITIONS)
-    p.add_argument("--theta", type=float, help="erasure basis angle for dplus/dminus")
-    _add_common(p)
-
-    p = sub.add_parser("twoslit", argument_default=argparse.SUPPRESS)
-    p.add_argument("--preset", choices=("default", "custom"))
-    p.add_argument("--d", type=float, help="slit separation")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--L", type=float, help="slit-to-screen distance")
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--envelope", choices=("flat", "gaussian"))
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--kind", choices=("conditioned", "bare", "washed"))
-    p.add_argument("--theta", type=float, help="erasure basis angle")
-    p.add_argument("--sign", choices=("plus", "minus"))
-    _add_common(p)
-
-    p = sub.add_parser("epr", argument_default=argparse.SUPPRESS)
-    p.add_argument("--basis1", choices=("z", "x"))
-    p.add_argument("--basis2", choices=("z", "x"))
-    _add_common(p)
-
-    p = sub.add_parser("sample", argument_default=argparse.SUPPRESS)
-    p.add_argument("--scenario", choices=("nchannel", "twoslit", "epr"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--preset", choices=("default", "custom"))
-    p.add_argument("--thetas")
-    p.add_argument("--phis")
-    p.add_argument("--basis", choices=("whichpath", "erasure"))
-    p.add_argument("--theta", type=float)
-    p.add_argument("--order", choices=analysis.ORDERS)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--scenario-id", dest="scenario_id")
-    _add_common(p)
-
+    for kind, scenario in SCENARIOS.items():
+        p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
+        for param in scenario.params:
+            param.add_to(p)
+        p.add_argument("--config", help="JSON scenario config file")
+        p.add_argument("--format", choices=FORMATS, dest="format")
+        p.add_argument("--output", "-o", help="output path ('-' for stdout)")
     sub.add_parser("check")
     return parser
 
@@ -573,9 +572,7 @@ def main(argv=None) -> int:
         return 0
     except _ParseExit as exc:
         return _fail(2, exc)
-    except ValidationError as exc:
-        return _fail(3, exc)
-    except QEraserError as exc:
+    except QEraserError as exc:  # ValidationError included
         return _fail(3, exc)
     except OSError as exc:
         return _fail(4, exc)

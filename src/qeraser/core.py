@@ -26,9 +26,20 @@ from .errors import (
     ZeroProbabilityError,
 )
 
+# -- tolerances ----------------------------------------------------------------
+
+#: Algebraic identities, and how far a probability may leave [0, 1] before clipping.
 ATOL = 1e-12
 #: Conditioning on an outcome below this probability is an error, not a NaN.
 ZERO_PROBABILITY = 1e-15
+#: Probability vectors and tables, and the screen envelope, sum to 1 within this.
+SUM_ATOL = 1e-10
+#: Looser than the algebra tolerance: accepts decimal rounding in
+#: user-supplied phase files while rejecting structurally wrong configs.
+UNITARITY_TOL = 1e-9
+#: A pattern whose extremes sum below this carries no contrast.
+ZERO_CONTRAST = 1e-15
+
 #: Floats squared at a time by the PureState norm check.
 _NORM_BLOCK = 1 << 16
 
@@ -40,6 +51,25 @@ def _as_complex_vector(values, length: int | None = None, name: str = "vector") 
     if not (np.all(np.isfinite(vec.real)) and np.all(np.isfinite(vec.imag))):
         raise ValueError(f"{name} contains non-finite amplitudes")
     return vec
+
+
+def checked_probabilities(values, what: str) -> np.ndarray:
+    """Read-only float64 copy of a probability array, clipped to [0, 1].
+
+    Raises AssertionError for a non-finite entry, an entry outside [0, 1]
+    by more than ATOL, or a total off 1 by more than SUM_ATOL. `what`
+    names the array in the messages.
+    """
+    p = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise AssertionError(f"{what} contain non-finite entries")
+    if np.min(p) < -ATOL or np.max(p) > 1.0 + ATOL:
+        raise AssertionError(f"{what} out of [0, 1]")
+    if abs(float(np.sum(p)) - 1.0) > SUM_ATOL:
+        raise AssertionError(f"{what} do not sum to 1")
+    p = np.clip(p, 0.0, 1.0)
+    p.setflags(write=False)
+    return p
 
 
 def _checked_probability(p: float, what: str) -> float:

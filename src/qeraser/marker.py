@@ -106,7 +106,8 @@ def erasure_basis(theta: float) -> MarkerBasis:
     )
 
 
-def _pair(basis) -> tuple[MarkerState, MarkerState]:
+def basis_pair(basis) -> tuple[MarkerState, MarkerState]:
+    """The two states of a MarkerBasis or of a plain (state, state) pair."""
     if isinstance(basis, MarkerBasis):
         return basis.states
     first, second = basis
@@ -120,7 +121,7 @@ def mutual_unbiasedness_check(basis_a, basis_b) -> float:
     two bases are exactly mutually unbiased.
     """
     deviation = 0.0
-    for a in _pair(basis_a):
-        for b in _pair(basis_b):
+    for a in basis_pair(basis_a):
+        for b in basis_pair(basis_b):
             deviation = max(deviation, abs(a.squared_overlap(b) - 0.5))
     return deviation

@@ -36,12 +36,6 @@ from .errors import (
 from .marker import MarkerState, erasure_basis
 from .rng import SplitMix64
 
-#: Looser than the algebra tolerance: accepts decimal rounding in
-#: user-supplied phase files while rejecting structurally wrong configs.
-UNITARITY_TOL = 1e-9
-
-DIST_ATOL = 1e-10
-
 
 def validate_config(thetas, phis) -> float:
     """Unitarity residual |sum_j e^{i (phi_j - theta_j)}| / n.
@@ -78,7 +72,7 @@ class PhaseConfig:
                 f"expected {self.n} phases per path, got {t.size} and {p.size}"
             )
         residual = validate_config(t, p)
-        if residual >= UNITARITY_TOL:
+        if residual >= core.UNITARITY_TOL:
             raise InvalidConfigError(
                 f"splitter images not orthogonal: residual {residual:.3e}"
             )
@@ -173,15 +167,10 @@ class DetectorDistribution:
     condition: str = "none"
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1).copy()
+        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
         if p.size == 0:
             raise LengthMismatchError("distribution must cover at least one detector")
-        if np.min(p) < -core.ATOL or np.max(p) > 1.0 + core.ATOL:
-            raise AssertionError("detector probabilities out of [0, 1]")
-        if abs(float(np.sum(p)) - 1.0) > DIST_ATOL:
-            raise AssertionError("detector probabilities do not sum to 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.setflags(write=False)
+        p = core.checked_probabilities(p, "detector probabilities")
         object.__setattr__(self, "probabilities", p)
 
     @property

@@ -36,8 +36,6 @@ from .errors import (
 )
 from .marker import MarkerState, erasure_basis
 
-GRID_ATOL = 1e-10
-
 _SIGNS = {"+": +1, "plus": +1, "-": -1, "minus": -1}
 
 
@@ -107,7 +105,7 @@ class ScreenGrid:
         expected = math.pi * geo.d / (geo.wavelength * geo.L) * pos
         if not np.array_equal(theta, expected):
             raise InvalidGeometryError("theta_x must equal pi*x*d/(wavelength*L)")
-        if abs(float(np.sum(env**2)) * self.dx - 1.0) > GRID_ATOL:
+        if abs(float(np.sum(env**2)) * self.dx - 1.0) > core.SUM_ATOL:
             raise InvalidGeometryError("envelope is not normalized on the grid")
         for arr in (pos, env, theta):
             arr.setflags(write=False)
@@ -192,15 +190,10 @@ class ScreenPattern:
     condition: str = "none"
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64).copy()
+        p = np.asarray(self.probabilities, dtype=np.float64)
         if p.size != self.grid.bins:
             raise InvalidGeometryError("pattern length must match the grid")
-        if np.min(p) < -core.ATOL or np.max(p) > 1.0 + core.ATOL:
-            raise AssertionError("pattern probabilities out of [0, 1]")
-        if abs(float(np.sum(p)) - 1.0) > GRID_ATOL:
-            raise AssertionError("pattern probabilities do not sum to 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.setflags(write=False)
+        p = core.checked_probabilities(p, "pattern probabilities")
         object.__setattr__(self, "probabilities", p)
 
 
@@ -283,6 +276,6 @@ def visibility(pattern: ScreenPattern, envelope_corrected: bool = True) -> float
         raise DegeneratePatternError("need at least two usable bins")
     highest = float(np.max(values))
     lowest = float(np.min(values))
-    if highest + lowest < 1e-15:
+    if highest + lowest < core.ZERO_CONTRAST:
         raise DegeneratePatternError("pattern is numerically zero")
     return min(max((highest - lowest) / (highest + lowest), 0.0), 1.0)

@@ -371,3 +371,83 @@ class TestCheck:
         assert code == 0
         assert "9/9 checks passed" in out
         assert "FAIL" not in out
+
+
+CUSTOM_SCREEN = {"preset": "custom", "d": 1, "wavelength": 0.5, "L": 100,
+                 "x_min": -100, "x_max": 100, "bins": 128}
+
+
+def _file(command, **parameters):
+    return {"kind": command, "parameters": parameters}
+
+
+# Inputs the parameter types must reject before anything runs:
+# name -> (argv, config file contents or None).
+ERROR_CONTRACT_CASES = {
+    "count-string": (["sample"], _file("sample", count="abc")),
+    "n-string": (["nchannel"], _file("nchannel", n="ten")),
+    "bins-string": (["twoslit"], _file("twoslit", **{**CUSTOM_SCREEN, "bins": "many"})),
+    "theta-string": (["nchannel"], _file("nchannel", condition="dplus", theta="x")),
+    "sigma-string": (["twoslit"], _file("twoslit", envelope="gaussian", sigma="wide")),
+    "sign-unknown": (["twoslit"], _file("twoslit", sign="up")),
+    "order-unknown": (["sample"], _file("sample", order="sideways")),
+    "basis1-list": (["epr"], _file("epr", basis1=["z"])),
+    "scenario-id-number": (["sample"], _file("sample", scenario_id=5)),
+    "output-path-number": (["epr"], {"kind": "epr", "output_path": 5}),
+    "thetas-flag-not-numbers": (
+        ["nchannel", "--preset", "custom", "--thetas", "a,b", "--phis", "0,1"], None
+    ),
+    "count-float": (["sample"], _file("sample", count=5.7)),
+    "bare-string": (["nchannel"], _file("nchannel", bare="false")),
+    "sign-symbol-in-file": (["twoslit"], _file("twoslit", sign="+")),
+}
+
+
+def assert_one_json_error(tmp_path, monkeypatch, capsys, argv, config):
+    """Run argv; require exit 3, one JSON line on stderr, no output at all."""
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(out_dir))
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit_code"] == 3
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.json"] if config else [])
+    return error
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("name", sorted(ERROR_CONTRACT_CASES))
+    def test_bad_input_is_one_json_error(self, name, tmp_path, monkeypatch, capsys):
+        argv, config = ERROR_CONTRACT_CASES[name]
+        assert_one_json_error(tmp_path, monkeypatch, capsys, argv, config)
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [(kind, param) for kind, scenario in cli.SCENARIOS.items() for param in scenario.params],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_wrong_json_kind_for_every_parameter(
+        self, kind, param, tmp_path, monkeypatch, capsys
+    ):
+        """A string for numbers, a number for strings, a string for bools, a list."""
+        if param.type in (int, float):
+            wrong = ["1", [1]]
+        elif param.type is bool:
+            wrong = ["true", [True]]
+        elif param.type is list:
+            wrong = [1, ["0"]]
+        else:
+            wrong = [1, [param.choices[0] if param.choices else "x"]]
+        for value in wrong:
+            config = _file(kind, **{param.name: value})
+            error = assert_one_json_error(tmp_path, monkeypatch, capsys, [kind], config)
+            assert repr(param.name) in error["message"]

@@ -361,3 +361,44 @@ class TestInvariants:
             except ZeroProbabilityError:
                 probability = 0.0
             assert abs(probability - expected) < 1e-12
+
+
+def _distribution(values):
+    from qeraser.nchannel import DetectorDistribution
+
+    return DetectorDistribution(values)
+
+
+def _pattern(values):
+    from qeraser.twoslit import ScreenGeometry, ScreenPattern, build_grid
+
+    return ScreenPattern(build_grid(ScreenGeometry(2.0, 1.0, 1000.0, -500.0, 500.0, 4)), values)
+
+
+def _table(values):
+    from qeraser.analysis import JointTable
+
+    return JointTable(("a", "b"), ("c", "d"), np.reshape(values, (2, 2)))
+
+
+class TestProbabilityValidator:
+    @pytest.mark.parametrize("build", [_distribution, _pattern, _table])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.nan] * 4,
+            [0.5, 0.5, math.nan, 0.0],
+            [0.5, 0.5, math.inf, -math.inf],
+            [0.75, 0.5, -0.25, 0.0],
+            [0.25, 0.25, 0.25, 0.25 + 1e-9],
+        ],
+        ids=["all-nan", "one-nan", "infinite", "negative", "sum-off-1e-9"],
+    )
+    def test_rejected_by_every_probability_type(self, build, values):
+        with pytest.raises(AssertionError):
+            build(values)
+
+    @pytest.mark.parametrize("build", [_distribution, _pattern, _table])
+    def test_valid_values_clipped_and_read_only(self, build):
+        probs = build([0.5, 0.5 + 1e-13, -1e-13, 0.0]).probabilities
+        assert np.min(probs) == 0.0 and not probs.flags.writeable
