@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,9 +167,8 @@ def epr_correlation_table(basis1: str, basis2: str) -> JointTable:
 # -- Seeded event sampling ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One sampled detection with its seed lineage."""
+class EventRecord(NamedTuple):
+    """One sampled detection with its seed lineage, in log-column order."""
 
     scenario_id: str
     event_index: int
@@ -183,7 +184,7 @@ class EventRecord:
         )
 
 
-EVENT_LOG_HEADER = "scenario_id,event_index,system_outcome,marker_outcome,order,seed"
+EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
 
 def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
@@ -195,6 +196,8 @@ def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise InvalidCountError(f"count must be >= 1, got {count}")
+    if count > core.MAX_SIZE:
+        raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
     cdf = np.cumsum(table.probabilities.reshape(-1))
     cdf /= cdf[-1]
     uniforms = SplitMix64(seed).floats(count)
@@ -213,29 +216,31 @@ def sample_events(
     """Deterministic i.i.d. event stream from the exact joint table.
 
     Each record carries the ordering tag and the stream seed; identical
-    (scenario, seed) pairs reproduce the stream exactly. system_labels,
+    (scenario, seed) pairs reproduce the stream exactly; the seed must be
+    an integer in [0, 2^64). system_labels,
     when given, must be integers (e.g. 1-based detector numbers) and are
     used as the logged system outcomes.
     """
     if "," in scenario_id or "\n" in scenario_id:
         raise ValidationError("scenario_id must not contain commas or newlines")
+    # SplitMix64 reduces seeds mod 2^64, so a seed outside that range (or a
+    # fraction, truncated by int()) would reproduce another seed's stream.
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     table = joint_distribution(state, marker_basis, order, system_labels)
-    labels = []
-    for label in table.row_labels:
-        if not isinstance(label, (int, np.integer)):
-            raise ValidationError("system labels must be integers in event logs")
-        labels.append(int(label))
-    cols = len(table.col_labels)
+    if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
+        raise ValidationError("system labels must be integers in event logs")
+    labels = [int(label) for label in table.row_labels]
     cells = sample_outcomes(table, count, seed)
-    seed = int(seed)
-    return [
-        EventRecord(
-            scenario_id,
-            index,
-            labels[cell // cols],
-            int(cell % cols),
-            order,
-            seed,
+    systems, markers = np.divmod(cells, len(table.col_labels))
+    return list(
+        map(
+            EventRecord,
+            repeat(scenario_id),
+            range(cells.size),
+            map(labels.__getitem__, systems.tolist()),
+            markers.tolist(),
+            repeat(order),
+            repeat(int(seed)),
         )
-        for index, cell in enumerate(cells)
-    ]
+    )

@@ -22,6 +22,7 @@ error, 4 I/O error. Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,6 +314,10 @@ def _run_epr(params):
 
 def _sample_state_and_basis(params):
     scenario = params["scenario"]
+    if scenario != "nchannel" and (
+        params["preset"] != "default" or any(params[k] is not None for k in ("n", "thetas", "phis"))
+    ):
+        raise ValidationError(f"scenario {scenario!r} does not take n, preset, thetas or phis")
     theta = float(params["theta"])
     basis = which_path_basis() if params["basis"] == "whichpath" else erasure_basis(theta)
     if scenario == "nchannel":
@@ -333,15 +338,10 @@ def _sample_state_and_basis(params):
 
 
 def _run_sample(params):
-    seed = params["seed"]
-    # SplitMix64 reduces seeds mod 2^64, so a seed outside that range would
-    # reproduce another seed's stream while the log records a different one.
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     state, basis, labels, derived_id = _sample_state_and_basis(params)
     scenario_id = params["scenario_id"] or derived_id
     events = analysis.sample_events(
-        state, basis, params["order"], params["count"], seed, scenario_id, labels
+        state, basis, params["order"], params["count"], params["seed"], scenario_id, labels
     )
     return events, f"events_{scenario_id}"
 
@@ -419,48 +419,41 @@ SCENARIOS = {
 # -- emitters -----------------------------------------------------------------
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FMT.format(float(value))
+def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
+    """index_or_x as given (integer detectors or float positions), probabilities as floats."""
+    probs = np.asarray(payload["p"], dtype=np.float64)
+    if probs.size == 0:
+        raise ValidationError("cannot emit an empty pattern")
+    return np.asarray(payload["x"]), probs
 
 
 def emit_pattern_csv(payload, echo: str) -> str:
     """CSV with columns index_or_x,probability[,condition] at 17 digits."""
-    probs = np.asarray(payload["p"])
-    if probs.size == 0:
-        raise ValidationError("cannot emit an empty pattern")
-    with_condition = payload["condition"] != "none"
-    header = "index_or_x,probability" + (",condition" if with_condition else "")
+    xs, probs = _pattern_columns(payload)
+    condition = payload["condition"]
+    header = "index_or_x,probability"
+    row = ("{}," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
+    if condition != "none":
+        header += ",condition"
+        row += "," + condition.replace("{", "{{").replace("}", "}}")
     lines = [f"# config: {echo}", header]
-    for x, p in zip(payload["x"], probs):
-        row = f"{_fmt_value(x)},{FLOAT_FMT.format(float(p))}"
-        if with_condition:
-            row += f",{payload['condition']}"
-        lines.append(row)
+    lines.extend(map(row.format, xs.tolist(), probs.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def emit_pattern_json(payload, echo: str) -> str:
-    probs = np.asarray(payload["p"])
-    if probs.size == 0:
-        raise ValidationError("cannot emit an empty pattern")
+    xs, probs = _pattern_columns(payload)
     document = {
         "config": json.loads(echo),
-        "index_or_x": [
-            int(x) if isinstance(x, (int, np.integer)) else float(x)
-            for x in payload["x"]
-        ],
-        "probability": [float(p) for p in probs],
+        "index_or_x": xs.tolist(),
+        "probability": probs.tolist(),
         "condition": payload["condition"],
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def emit_pattern_svg(payload, echo: str) -> str:
-    probs = np.asarray(payload["p"])
-    if probs.size == 0:
-        raise ValidationError("cannot emit an empty pattern")
+    _, probs = _pattern_columns(payload)
     chart = _svg.bar_chart if payload["chart"] == "bar" else _svg.line_chart
     comment = f"config: {echo}"
     return chart(
@@ -473,18 +466,16 @@ def emit_joint_json(table: analysis.JointTable, echo: str) -> str:
         "config": json.loads(echo),
         "row_labels": list(table.row_labels),
         "col_labels": list(table.col_labels),
-        "probabilities": [[float(p) for p in row] for row in table.probabilities],
+        "probabilities": table.probabilities.tolist(),
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def emit_joint_csv(table: analysis.JointTable, echo: str) -> str:
     lines = [f"# config: {echo}", "row,col,probability"]
-    for i, row_label in enumerate(table.row_labels):
-        for j, col_label in enumerate(table.col_labels):
-            lines.append(
-                f"{row_label},{col_label},{FLOAT_FMT.format(float(table.probabilities[i, j]))}"
-            )
+    for row_label, row in zip(table.row_labels, table.probabilities.tolist()):
+        for col_label, p in zip(table.col_labels, row):
+            lines.append(f"{row_label},{col_label},{FLOAT_FMT.format(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -518,7 +509,9 @@ def _resolve_output(config: ScenarioConfig, stem: str) -> Path | None:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once and reused by every `main` call."""
     parser = _Parser(prog="qeraser", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qeraser {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,7 +26,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 
-# -- tolerances ----------------------------------------------------------------
+# -- tolerances and limits -----------------------------------------------------
 
 #: Algebraic identities, and how far a probability may leave [0, 1] before clipping.
 ATOL = 1e-12
@@ -39,6 +39,9 @@ SUM_ATOL = 1e-10
 UNITARITY_TOL = 1e-9
 #: A pattern whose extremes sum below this carries no contrast.
 ZERO_CONTRAST = 1e-15
+#: Upper bound on channels, screen bins and sampled events, checked
+#: before anything of that size is allocated.
+MAX_SIZE = 10**7
 
 #: Floats squared at a time by the PureState norm check.
 _NORM_BLOCK = 1 << 16

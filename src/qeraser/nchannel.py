@@ -93,6 +93,8 @@ def default_config(n: int) -> PhaseConfig:
     the Mach-Zehnder interferometer. Odd n cannot satisfy the unitarity
     condition for this pattern and raises OddChannelCountError.
     """
+    if n > core.MAX_SIZE:
+        raise InvalidConfigError(f"channel count must be <= {core.MAX_SIZE}, got {n}")
     if n < 2 or n % 2 != 0:
         raise OddChannelCountError(f"alternating preset needs even n >= 2, got {n}")
     thetas = np.zeros(n)
@@ -113,8 +115,8 @@ def random_config(n: int, seed: int) -> PhaseConfig:
 
     so that the two repaired terms contribute exactly r e^{i a} = -S.
     """
-    if n < 2:
-        raise InvalidConfigError("channel count must be >= 2")
+    if not 2 <= n <= core.MAX_SIZE:
+        raise InvalidConfigError(f"channel count must be in [2, {core.MAX_SIZE}], got {n}")
     stream = SplitMix64(seed)
     two_pi = 2.0 * math.pi
     thetas = stream.floats(n) * two_pi

@@ -64,6 +64,8 @@ class ScreenGeometry:
             raise InvalidGeometryError("x_min must be below x_max")
         if self.bins < 2:
             raise InvalidGeometryError("need at least two bins")
+        if self.bins > core.MAX_SIZE:
+            raise InvalidGeometryError(f"at most {core.MAX_SIZE} bins, got {self.bins}")
 
     @property
     def fringe_width(self) -> float:

@@ -231,9 +231,40 @@ class TestSampling:
             passes += chi_square_pass(flat, observed)
         assert passes >= 19
 
+    @pytest.mark.parametrize("offset", [0, 2**70])
+    def test_records_match_per_cell_reference(self, offset):
+        """Each record is (cell // cols -> label, cell % cols) of the same draw.
+
+        The 2**70 offset gives labels beyond int64, which must be logged exactly.
+        """
+        labels = [label + offset for label in self.labels]
+        events = sample_events(self.state, self.basis, MARKER_FIRST, 3000, 5, "s", labels)
+        table = joint_distribution(self.state, self.basis, MARKER_FIRST, labels)
+        reference = []
+        for index, cell in enumerate(sample_outcomes(table, 3000, 5)):
+            row, col = divmod(int(cell), len(table.col_labels))
+            reference.append(("s", index, labels[row], col, MARKER_FIRST, 5))
+        records = [
+            (e.scenario_id, e.event_index, e.system_outcome, e.marker_outcome, e.order, e.seed)
+            for e in events
+        ]
+        assert records == reference
+        assert all(type(value) in (int, str) for record in records for value in record)
+        assert [e.csv_row() for e in events] == [",".join(map(str, r)) for r in reference]
+
     def test_invalid_count(self):
         with pytest.raises(InvalidCountError):
             sample_events(self.state, self.basis, SYSTEM_FIRST, 0, 1, "s", self.labels)
+
+    def test_count_above_size_limit(self):
+        table = joint_distribution(self.state, self.basis, SYSTEM_FIRST)
+        with pytest.raises(InvalidCountError):
+            sample_outcomes(table, core.MAX_SIZE + 1, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 7, 2.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_events(self.state, self.basis, SYSTEM_FIRST, 1, seed, "s", self.labels)
 
     def test_scenario_id_validation(self):
         with pytest.raises(ValidationError):

@@ -400,6 +400,18 @@ ERROR_CONTRACT_CASES = {
     "count-float": (["sample"], _file("sample", count=5.7)),
     "bare-string": (["nchannel"], _file("nchannel", bare="false")),
     "sign-symbol-in-file": (["twoslit"], _file("twoslit", sign="+")),
+    "sample-twoslit-phase-params": (
+        ["sample", "--scenario", "twoslit", "--n", "4", "--preset", "custom", "--count", "2"],
+        None,
+    ),
+    "sample-epr-thetas": (["sample", "--scenario", "epr", "--thetas", "1,2"], None),
+    "sample-count-above-limit": (["sample", "--count", "1000000000000"], None),
+    "nchannel-n-above-limit": (["nchannel", "--n", "1000000000000"], None),
+    "twoslit-bins-above-limit": (
+        ["twoslit", "--preset", "custom", "--d", "1", "--wavelength", "0.5", "--L", "100",
+         "--x-min", "-100", "--x-max", "100", "--bins", "1000000000000"],
+        None,
+    ),
 }
 
 

@@ -72,6 +72,12 @@ class TestConfig:
         with pytest.raises(LengthMismatchError):
             PhaseConfig(3, np.zeros(3), np.zeros(2))
 
+    def test_channel_count_above_size_limit(self):
+        with pytest.raises(InvalidConfigError):
+            default_config(core.MAX_SIZE + 2)
+        with pytest.raises(InvalidConfigError):
+            random_config(core.MAX_SIZE + 1, seed=1)
+
     def test_odd_n_allowed_for_custom_configs(self):
         config = dft_config(3)
         assert config.n == 3

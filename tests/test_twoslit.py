@@ -60,6 +60,11 @@ class TestGeometry:
         with pytest.raises(InvalidGeometryError):
             ScreenGeometry(1.0, float("inf"), 1.0, 0.0, 1.0, 8)
 
+    def test_bins_size_limit(self):
+        assert ScreenGeometry(1.0, 1.0, 1.0, 0.0, 1.0, core.MAX_SIZE).bins == core.MAX_SIZE
+        with pytest.raises(InvalidGeometryError):
+            ScreenGeometry(1.0, 1.0, 1.0, 0.0, 1.0, core.MAX_SIZE + 1)
+
 
 class TestGrid:
     def test_flat_envelope_is_uniform_density(self):
