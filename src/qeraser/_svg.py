@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 WIDTH, HEIGHT = 720, 460
 MARGIN_LEFT, MARGIN_RIGHT = 80, 24
 MARGIN_TOP, MARGIN_BOTTOM = 48, 56
@@ -69,7 +71,7 @@ def _axes(x_lo, x_hi, y_hi, x_label, y_label) -> list[str]:
 
 def line_chart(xs, ys, title, x_label, y_label, comment) -> str:
     """Polyline chart for continuous patterns."""
-    xs, ys = list(xs), list(ys)
+    xs, ys = np.asarray(xs).tolist(), np.asarray(ys).tolist()
     x_lo, x_hi = min(xs), max(xs)
     y_hi = max(max(ys), 1e-300)
     y0 = MARGIN_TOP + PLOT_H
@@ -85,7 +87,7 @@ def line_chart(xs, ys, title, x_label, y_label, comment) -> str:
 
 def bar_chart(labels, values, title, x_label, y_label, comment) -> str:
     """Bar chart for discrete detector distributions."""
-    labels, values = list(labels), list(values)
+    labels, values = np.asarray(labels).tolist(), np.asarray(values).tolist()
     count = len(values)
     y_hi = max(max(values), 1e-300)
     y0 = MARGIN_TOP + PLOT_H

@@ -221,8 +221,8 @@ def sample_events(
     when given, must be integers (e.g. 1-based detector numbers) and are
     used as the logged system outcomes.
     """
-    if "," in scenario_id or "\n" in scenario_id:
-        raise ValidationError("scenario_id must not contain commas or newlines")
+    if any(char in scenario_id for char in ",\n\0"):
+        raise ValidationError("scenario_id must not contain commas, newlines or NUL bytes")
     # SplitMix64 reduces seeds mod 2^64, so a seed outside that range (or a
     # fraction, truncated by int()) would reproduce another seed's stream.
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:

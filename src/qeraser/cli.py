@@ -8,11 +8,11 @@ epr        joint outcome table for the correlated spin pair
 sample     seeded event log (CSV) drawn from the exact joint table
 check      run the built-in invariant suite
 
-Every parameter is declared once, in SCENARIOS; the flags, the defaults,
-the checks on config-file values and the format dispatch are derived from
-it. Scenarios can be driven by flags, by a JSON config file, or both;
-flags override file values and the effective configuration is echoed into
-every artifact header, so any artifact can be reproduced from itself.
+Every parameter is declared once, in SCENARIOS, with the condition under
+which it applies; the flags, the defaults, the checks on config-file values
+and the format dispatch are derived from it. Flags override config-file
+values, and the effective configuration is echoed into every artifact
+header, so any artifact can be reproduced from itself.
 Identical configuration and seed yield byte-identical CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 failed checks, 2 parse error, 3 validation
@@ -101,6 +101,8 @@ class Param(NamedTuple):
     default: object = None
     choices: tuple = ()
     help: str | None = None
+    #: (other, values): applies only while parameter `other` is in `values`.
+    when: tuple | None = None
 
     def check(self, value) -> None:
         """Raise ValidationError unless the flag would accept the value.
@@ -158,6 +160,8 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError("config 'parameters' must be an object")
     if not isinstance(raw.get("output_path", ""), (str, type(None))):
         raise ValidationError("config 'output_path' must be a string")
+    if "\0" in (raw.get("output_path") or ""):
+        raise ValidationError("config 'output_path' must not contain NUL bytes")
     return raw
 
 
@@ -180,6 +184,14 @@ def _merge_parameters(kind: str, file_params: dict, flag_params: dict) -> dict:
     for name, value in flag_params.items():
         if declared[name].type is list:
             merged[name] = _phase_list(value)
+    for name, param in declared.items():
+        if param.when and merged[name] != param.default:
+            other, values = param.when
+            if merged[other] not in values:
+                raise ValidationError(
+                    f"parameter {name!r} applies only when {other!r} is one of"
+                    f" {list(values)}, not {merged[other]!r}"
+                )
     return merged
 
 
@@ -218,11 +230,9 @@ def _config_echo(config: ScenarioConfig) -> str:
 
 
 def _nchannel_config(params) -> nchannel.PhaseConfig:
-    thetas, phis = _phase_list(params["thetas"]), _phase_list(params["phis"])
     if params["preset"] == "default":
-        if thetas is not None or phis is not None:
-            raise ValidationError("preset 'default' does not take phase vectors")
         return nchannel.default_config(params["n"] if params["n"] is not None else 10)
+    thetas, phis = _phase_list(params["thetas"]), _phase_list(params["phis"])
     if thetas is None or phis is None:
         raise ValidationError("preset 'custom' requires thetas and phis")
     n = params["n"] if params["n"] is not None else len(thetas)
@@ -242,19 +252,14 @@ def _marker_for(condition: str, theta: float):
 def _run_nchannel(params):
     condition = params["condition"]
     phase_config = _nchannel_config(params)
-    if params["bare"]:
-        if condition != "none":
-            raise ValidationError("a bare state has no marker to condition on")
-        state = nchannel.final_state_bare(phase_config)
+    final_state = nchannel.final_state_bare if params["bare"] else nchannel.final_state_marked
+    state = final_state(phase_config)
+    if condition == "none":
         dist = nchannel.detector_probabilities(state)
     else:
-        state = nchannel.final_state_marked(phase_config)
-        if condition == "none":
-            dist = nchannel.detector_probabilities(state)
-        else:
-            dist = nchannel.conditioned_distribution(
-                state, _marker_for(condition, float(params["theta"]))
-            )
+        dist = nchannel.conditioned_distribution(
+            state, _marker_for(condition, float(params["theta"]))
+        )
     payload = {
         "x": list(range(1, phase_config.n + 1)),
         "p": dist.probabilities,
@@ -268,11 +273,9 @@ def _run_nchannel(params):
 
 
 def _twoslit_geometry(params) -> twoslit.ScreenGeometry:
-    values = [params[k] for k in ("d", "wavelength", "L", "x_min", "x_max", "bins")]
     if params["preset"] == "default":
-        if any(v is not None for v in values):
-            raise ValidationError("preset 'default' does not take geometry fields")
         return twoslit.default_geometry()
+    values = [params[k] for k in ("d", "wavelength", "L", "x_min", "x_max", "bins")]
     if None in values:
         raise ValidationError("preset 'custom' requires d, wavelength, L, x_min, x_max, bins")
     *lengths, bins = values
@@ -314,10 +317,6 @@ def _run_epr(params):
 
 def _sample_state_and_basis(params):
     scenario = params["scenario"]
-    if scenario != "nchannel" and (
-        params["preset"] != "default" or any(params[k] is not None for k in ("n", "thetas", "phis"))
-    ):
-        raise ValidationError(f"scenario {scenario!r} does not take n, preset, thetas or phis")
     theta = float(params["theta"])
     basis = which_path_basis() if params["basis"] == "whichpath" else erasure_basis(theta)
     if scenario == "nchannel":
@@ -347,12 +346,13 @@ def _run_sample(params):
 
 
 _PRESET = Param("preset", default="default", choices=("default", "custom"))
+_CUSTOM = ("preset", ("custom",))
 #: The channel configuration, shared by nchannel and sample.
 _PHASE_PARAMS = (
     Param("n", int),
     _PRESET,
-    Param("thetas", list, help="comma-separated path-A phases (radians)"),
-    Param("phis", list, help="comma-separated path-B phases (radians)"),
+    Param("thetas", list, help="comma-separated path-A phases (radians)", when=_CUSTOM),
+    Param("phis", list, help="comma-separated path-B phases (radians)", when=_CUSTOM),
 )
 _PATTERN_FORMATS = {
     "csv": "emit_pattern_csv",
@@ -365,8 +365,10 @@ SCENARIOS = {
         _PHASE_PARAMS
         + (
             Param("bare", bool, False, help="drop the path marker"),
-            Param("condition", default="none", choices=("none", "d1", "d2", "dplus", "dminus")),
-            Param("theta", float, 0.0, help="erasure basis angle for dplus/dminus"),
+            Param("condition", default="none", choices=("none", "d1", "d2", "dplus", "dminus"),
+                  when=("bare", (False,))),
+            Param("theta", float, 0.0, help="erasure basis angle for dplus/dminus",
+                  when=("condition", ("dplus", "dminus"))),
         ),
         _run_nchannel,
         _PATTERN_FORMATS,
@@ -374,17 +376,17 @@ SCENARIOS = {
     "twoslit": Scenario(
         (
             _PRESET,
-            Param("d", float, help="slit separation"),
-            Param("wavelength", float),
-            Param("L", float, help="slit-to-screen distance"),
-            Param("x_min", float),
-            Param("x_max", float),
-            Param("bins", int),
+            Param("d", float, help="slit separation", when=_CUSTOM),
+            Param("wavelength", float, when=_CUSTOM),
+            Param("L", float, help="slit-to-screen distance", when=_CUSTOM),
+            Param("x_min", float, when=_CUSTOM),
+            Param("x_max", float, when=_CUSTOM),
+            Param("bins", int, when=_CUSTOM),
             Param("envelope", default="flat", choices=("flat", "gaussian")),
-            Param("sigma", float),
+            Param("sigma", float, when=("envelope", ("gaussian",))),
             Param("kind", default="conditioned", choices=("conditioned", "bare", "washed")),
-            Param("theta", float, 0.0, help="erasure basis angle"),
-            Param("sign", default="plus", choices=("plus", "minus")),
+            Param("theta", float, 0.0, help="erasure basis angle", when=("kind", ("conditioned",))),
+            Param("sign", default="plus", choices=("plus", "minus"), when=("kind", ("conditioned",))),
         ),
         _run_twoslit,
         _PATTERN_FORMATS,
@@ -400,7 +402,7 @@ SCENARIOS = {
     ),
     "sample": Scenario(
         (Param("scenario", default="nchannel", choices=("nchannel", "twoslit", "epr")),)
-        + _PHASE_PARAMS
+        + tuple(p._replace(when=p.when or ("scenario", ("nchannel",))) for p in _PHASE_PARAMS)
         + (
             Param("basis", default="erasure", choices=("whichpath", "erasure")),
             Param("theta", float, 0.0),

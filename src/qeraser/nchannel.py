@@ -51,7 +51,11 @@ def validate_config(thetas, phis) -> float:
         )
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
         raise InvalidConfigError("phases must be finite")
-    return float(abs(np.sum(np.exp(1j * (p - t)))) / t.size)
+    with np.errstate(over="ignore"):  # finite phases can differ by more than the float range
+        differences = p - t
+    if not np.all(np.isfinite(differences)):
+        raise InvalidConfigError("phase differences must be finite")
+    return float(abs(np.sum(np.exp(1j * differences))) / t.size)
 
 
 @dataclass(frozen=True, eq=False)

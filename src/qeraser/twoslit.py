@@ -22,6 +22,7 @@ extrema land exactly on sample points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,6 +67,21 @@ class ScreenGeometry:
             raise InvalidGeometryError("need at least two bins")
         if self.bins > core.MAX_SIZE:
             raise InvalidGeometryError(f"at most {core.MAX_SIZE} bins, got {self.bins}")
+        # The grid is built in floats: its span, phase scale and largest
+        # phase must not overflow, nor wavelength * L underflow to zero; a
+        # subnormal bin width would overflow the normalized envelope.
+        if self.wavelength * self.L == 0.0:
+            raise InvalidGeometryError("wavelength * L underflows to zero")
+        if self.dx < sys.float_info.min:
+            raise InvalidGeometryError(f"bin width {self.dx!r} is below the normal float range")
+        largest_phase = self.phase_scale * max(abs(self.x_min), abs(self.x_max))
+        if not all(map(math.isfinite, (self.x_max - self.x_min, self.phase_scale, largest_phase))):
+            raise InvalidGeometryError("screen span and phases overflow in floating point")
+
+    @property
+    def phase_scale(self) -> float:
+        """pi * d / (wavelength * L), so that theta_x = phase_scale * x."""
+        return math.pi * self.d / (self.wavelength * self.L)
 
     @property
     def fringe_width(self) -> float:
@@ -103,8 +119,7 @@ class ScreenGrid:
             raise InvalidGeometryError("envelope must be finite")
         if np.min(env) < 0:
             raise InvalidGeometryError("envelope must be non-negative")
-        geo = self.geometry
-        expected = math.pi * geo.d / (geo.wavelength * geo.L) * pos
+        expected = self.geometry.phase_scale * pos
         if not np.array_equal(theta, expected):
             raise InvalidGeometryError("theta_x must equal pi*x*d/(wavelength*L)")
         if abs(float(np.sum(env**2)) * self.dx - 1.0) > core.SUM_ATOL:
@@ -140,13 +155,15 @@ def build_grid(
     """
     dx = geometry.dx
     positions = geometry.x_min + np.arange(geometry.bins) * dx
-    theta_x = math.pi * geometry.d / (geometry.wavelength * geometry.L) * positions
+    theta_x = geometry.phase_scale * positions
     if envelope == "flat":
         env = np.ones(geometry.bins)
     elif envelope == "gaussian":
         if sigma is None or not math.isfinite(sigma) or sigma <= 0:
             raise InvalidGeometryError("gaussian envelope requires sigma > 0")
-        env = np.exp(-(positions**2) / (4.0 * sigma * sigma))
+        # A tiny sigma can overflow or divide by zero; the norm check rejects that.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            env = np.exp(-(positions**2) / (4.0 * sigma * sigma))
     else:
         raise InvalidGeometryError(f"unknown envelope kind {envelope!r}")
     norm_sq = float(np.sum(env**2)) * dx

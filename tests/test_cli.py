@@ -412,6 +412,46 @@ ERROR_CONTRACT_CASES = {
          "--x-min", "-100", "--x-max", "100", "--bins", "1000000000000"],
         None,
     ),
+    # A parameter that has no effect under the other settings.
+    "twoslit-bare-sign-theta": (
+        ["twoslit", "--kind", "bare", "--sign", "minus", "--theta", "0.9"], None
+    ),
+    "twoslit-flat-sigma": (["twoslit", "--envelope", "flat", "--sigma", "3"], None),
+    "nchannel-d1-theta": (["nchannel", "--condition", "d1", "--theta", "0.5"], None),
+    # NUL bytes cannot reach a file name; only a config file can carry them.
+    "scenario-id-nul": (["sample"], _file("sample", scenario_id="a\u0000b")),
+    "output-path-nul": (["epr"], {"kind": "epr", "output_path": "x\u0000y"}),
+    # Screen geometries whose float arithmetic overflows or underflows.
+    "twoslit-phase-overflow": (
+        ["twoslit", "--preset", "custom", "--d", "1e300", "--wavelength", "1", "--L", "1",
+         "--x-min=-1e10", "--x-max", "1e10", "--bins", "4"],
+        None,
+    ),
+    "twoslit-wavelength-L-underflow": (
+        ["twoslit", "--preset", "custom", "--d", "1", "--wavelength", "1e-200", "--L", "1e-200",
+         "--x-min=-1", "--x-max", "1", "--bins", "4"],
+        None,
+    ),
+    "twoslit-phase-scale-overflow": (
+        ["twoslit", "--preset", "custom", "--d", "1", "--wavelength", "1e-320", "--L", "1",
+         "--x-min=-1", "--x-max", "1", "--bins", "4"],
+        None,
+    ),
+    "twoslit-span-overflow": (
+        ["twoslit", "--preset", "custom", "--d", "1", "--wavelength", "1", "--L", "1",
+         "--x-min=-1e308", "--x-max", "1.7e308", "--bins", "4"],
+        None,
+    ),
+    "twoslit-sigma-underflow": (["twoslit", "--envelope", "gaussian", "--sigma", "1e-300"], None),
+    "twoslit-bin-width-subnormal": (
+        ["twoslit", "--preset", "custom", "--d", "1", "--wavelength", "1", "--L", "1",
+         "--x-min", "0", "--x-max", "1e-320", "--bins", "2"],
+        None,
+    ),
+    "nchannel-phase-difference-overflow": (
+        ["nchannel"],
+        _file("nchannel", preset="custom", thetas=[1e308, 0.0], phis=[-1e308, math.pi]),
+    ),
 }
 
 
@@ -437,6 +477,7 @@ def assert_one_json_error(tmp_path, monkeypatch, capsys, argv, config):
 
 
 class TestErrorContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(ERROR_CONTRACT_CASES))
     def test_bad_input_is_one_json_error(self, name, tmp_path, monkeypatch, capsys):
         argv, config = ERROR_CONTRACT_CASES[name]
@@ -463,3 +504,49 @@ class TestErrorContract:
             config = _file(kind, **{param.name: value})
             error = assert_one_json_error(tmp_path, monkeypatch, capsys, [kind], config)
             assert repr(param.name) in error["message"]
+
+
+def _non_default_value(param):
+    """A value the parameter accepts that differs from its default."""
+    if param.choices:
+        return next(choice for choice in param.choices if choice != param.default)
+    return {int: 4, float: 0.5, bool: True, list: [0.0, 0.0], str: "x"}[param.type]
+
+
+GATED_PARAMS = [
+    (kind, param)
+    for kind, scenario in cli.SCENARIOS.items()
+    for param in scenario.params
+    if param.when
+]
+
+
+class TestApplicability:
+    @pytest.mark.parametrize(
+        "kind, param", GATED_PARAMS, ids=lambda value: getattr(value, "name", value)
+    )
+    def test_parameter_outside_its_condition_is_rejected(
+        self, kind, param, tmp_path, monkeypatch, capsys
+    ):
+        other_name, values = param.when
+        other = next(p for p in cli.SCENARIOS[kind].params if p.name == other_name)
+        outside = next(v for v in (other.choices or (True, False)) if v not in values)
+        value = _non_default_value(param)
+        config = _file(kind, **{param.name: value, other_name: outside})
+        error = assert_one_json_error(tmp_path, monkeypatch, capsys, [kind], config)
+        assert repr(param.name) in error["message"]
+        assert "applies only when" in error["message"]
+
+        inside = _file(kind, **{param.name: value, other_name: values[0]})
+        (tmp_path / "config.json").write_text(json.dumps(inside))
+        code, _, err = run_cli([kind, "--config", str(tmp_path / "config.json"), "-o", "-"], capsys)
+        assert code == 0 or "applies only when" not in json.loads(err)["message"]
+
+    def test_explicit_defaults_are_accepted_and_echoed_alike(self, capsys):
+        code, plain, _ = run_cli(["twoslit", "--kind", "bare", "-o", "-"], capsys)
+        assert code == 0
+        code, explicit, _ = run_cli(
+            ["twoslit", "--kind", "bare", "--sign", "plus", "--theta", "0", "-o", "-"], capsys
+        )
+        assert code == 0
+        assert explicit == plain
