@@ -32,12 +32,11 @@ import numpy as np
 from . import core
 from .errors import (
     InvalidCountError,
-    NoMarkerError,
     ValidationError,
     ZeroProbabilityError,
 )
 from .marker import basis_pair
-from .rng import SplitMix64
+from .rng import SplitMix64, checked_seed
 
 MARKER_FIRST = "marker_first"
 SYSTEM_FIRST = "system_first"
@@ -80,8 +79,6 @@ def joint_distribution(
     system_labels, when given, names the rows (e.g. 1-based detector
     numbers); the default is the 0-based outcome index.
     """
-    if state.marker_dim != 2:
-        raise NoMarkerError("joint distribution requires a marked state")
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
     states = basis_pair(marker_basis)
@@ -217,16 +214,17 @@ def sample_events(
 
     Each record carries the ordering tag and the stream seed; identical
     (scenario, seed) pairs reproduce the stream exactly; the seed must be
-    an integer in [0, 2^64). system_labels,
-    when given, must be integers (e.g. 1-based detector numbers) and are
-    used as the logged system outcomes.
+    an integer in [0, 2^64) (rng.checked_seed). scenario_id is a log field
+    and the CLI's default file stem, so it must be printable (no CR, LF,
+    tab, NUL or other control character) and hold no ',', '/' or '\\'.
+    system_labels, when given, must be integers (e.g. 1-based detector
+    numbers) and are used as the logged system outcomes.
     """
-    if any(char in scenario_id for char in ",\n\0"):
-        raise ValidationError("scenario_id must not contain commas, newlines or NUL bytes")
-    # SplitMix64 reduces seeds mod 2^64, so a seed outside that range (or a
-    # fraction, truncated by int()) would reproduce another seed's stream.
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+    if not scenario_id.isprintable() or any(char in scenario_id for char in ",/\\"):
+        raise ValidationError(
+            f"scenario_id must be printable and contain no ',', '/' or '\\', got {scenario_id!r}"
+        )
+    seed = checked_seed(seed)
     table = joint_distribution(state, marker_basis, order, system_labels)
     if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
         raise ValidationError("system labels must be integers in event logs")
@@ -241,6 +239,6 @@ def sample_events(
             map(labels.__getitem__, systems.tolist()),
             markers.tolist(),
             repeat(order),
-            repeat(int(seed)),
+            repeat(seed),
         )
     )

@@ -21,6 +21,18 @@ class ZeroProbabilityError(QEraserError, ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
+class NonFiniteError(QEraserError, ValueError):
+    """Amplitudes and matrix entries must be finite."""
+
+
+class NotNormalizedError(QEraserError, ValueError):
+    """A state or vector that must have unit norm does not."""
+
+
+class InvariantError(QEraserError, AssertionError):
+    """A computed probability or purity breaks the range or sum it must obey."""
+
+
 class IndexOutOfRangeError(QEraserError, IndexError):
     """System, detector, or bin index outside the declared dimension."""
 

@@ -29,12 +29,12 @@ from . import core
 from .errors import (
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvariantError,
     LengthMismatchError,
-    NoMarkerError,
     OddChannelCountError,
 )
 from .marker import MarkerState, erasure_basis
-from .rng import SplitMix64
+from .rng import SplitMix64, checked_seed
 
 
 def validate_config(thetas, phis) -> float:
@@ -118,10 +118,11 @@ def random_config(n: int, seed: int) -> PhaseConfig:
         phi_2 = theta_2 + a - arccos(r / 2)
 
     so that the two repaired terms contribute exactly r e^{i a} = -S.
+    The seed must be an integer in [0, 2^64) (rng.checked_seed).
     """
     if not 2 <= n <= core.MAX_SIZE:
         raise InvalidConfigError(f"channel count must be in [2, {core.MAX_SIZE}], got {n}")
-    stream = SplitMix64(seed)
+    stream = SplitMix64(checked_seed(seed))
     two_pi = 2.0 * math.pi
     thetas = stream.floats(n) * two_pi
     while True:
@@ -201,8 +202,6 @@ def conditioned_distribution(state: core.PureState, marker_state) -> DetectorDis
     Raises NoMarkerError for bare states and ZeroProbabilityError when the
     projection has no weight.
     """
-    if state.marker_dim != 2:
-        raise NoMarkerError("conditioning requires a marked state")
     residual, _ = core.project_marker(state, np.asarray(marker_state, dtype=complex))
     label = getattr(marker_state, "label", "marker")
     return DetectorDistribution(residual.system_probabilities(), label)
@@ -222,7 +221,7 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
 
     The conditional is read off with core.project_system. For a pure joint
     state it is itself pure: its purity trace(rho^2) = <c|c>^2 is computed
-    and asserted to be 1, with no density matrix built. Fidelities
+    and checked to be 1, with no density matrix built. Fidelities
     |<d|c>|^2 against the theta = 0 erasure pair are reported alongside,
     range-checked and clamped to [0, 1]. Raises ZeroProbabilityError for
     detectors that never fire.
@@ -233,7 +232,8 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
         )
     conditional, _ = core.project_system(state, detector_j - 1)
     p = float(np.real(np.vdot(conditional, conditional))) ** 2
-    assert abs(p - 1.0) <= core.ATOL, "conditional marker of a pure state must be pure"
+    if abs(p - 1.0) > core.ATOL:
+        raise InvariantError(f"conditional marker of a pure state has purity {p!r}")
     basis = erasure_basis(0.0)
     return DelayedMarker(
         MarkerState.from_vector(conditional, f"detector{detector_j}"),

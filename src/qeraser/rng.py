@@ -20,11 +20,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _DOUBLE_SCALE = 1.0 / (1 << 53)
+
+
+def checked_seed(seed) -> int:
+    """The seed as an int; ValidationError unless an integer in [0, 2^64).
+
+    SplitMix64 reduces seeds mod 2^64, so a seed outside that range (or a
+    fraction, truncated by int()) would reproduce another seed's stream.
+    """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def mix64(word: int) -> int:

@@ -33,7 +33,6 @@ from .errors import (
     DegeneratePatternError,
     IndexOutOfRangeError,
     InvalidGeometryError,
-    NonFinitePhaseError,
 )
 from .marker import MarkerState, erasure_basis
 
@@ -237,8 +236,6 @@ def pattern_conditioned(
     """
     if sign not in _SIGNS:
         raise ValueError(f"sign must be one of {sorted(_SIGNS)}, got {sign!r}")
-    if not math.isfinite(theta):
-        raise NonFinitePhaseError(f"theta must be finite, got {theta!r}")
     basis = erasure_basis(theta)
     element = basis.plus if _SIGNS[sign] > 0 else basis.minus
     residual, probability = core.project_marker(marked_state(grid), element)

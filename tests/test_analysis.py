@@ -267,8 +267,12 @@ class TestSampling:
             sample_events(self.state, self.basis, SYSTEM_FIRST, 1, seed, "s", self.labels)
 
     def test_scenario_id_validation(self):
-        with pytest.raises(ValidationError):
-            sample_events(self.state, self.basis, SYSTEM_FIRST, 1, 1, "a,b", self.labels)
+        """Printable, and no field separator or path separator: it names the log file."""
+        for bad in ("a,b", "a\nb", "a\rb", "a\tb", "a\0b", "x/../../escaped", "a\\b"):
+            with pytest.raises(ValidationError, match="scenario_id"):
+                sample_events(self.state, self.basis, SYSTEM_FIRST, 1, 1, bad, self.labels)
+        events = sample_events(self.state, self.basis, SYSTEM_FIRST, 1, 1, "run 2.ü", self.labels)
+        assert events[0].scenario_id == "run 2.ü"
 
     def test_labels_must_be_integers(self):
         with pytest.raises(ValidationError):

@@ -106,20 +106,29 @@ class TestNChannel:
         assert len(rows) == n
 
 
+def run_one_blas_thread(tmp_path, n):
+    """`nchannel --n n` in a subprocess pinned to one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "wide.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qeraser.cli", "nchannel", "--n", str(n), "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == n + 2
+
+
 class TestOneBlasThread:
+    """The state norm check must not depend on the BLAS thread count."""
+
     def test_hundred_thousand_channels(self, tmp_path):
-        """The state norm check must not depend on the BLAS thread count."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / "wide.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qeraser.cli", "nchannel", "--n", "100000",
-             "--output", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert len(out.read_text().splitlines()) == 100002
+        run_one_blas_thread(tmp_path, 100_000)
+
+    def test_three_hundred_thousand_channels(self, tmp_path):
+        """Here a one-thread linalg.norm can miss the exact squared norm by over 1e-12."""
+        run_one_blas_thread(tmp_path, 300_000)
 
 
 class TestTwoSlit:
@@ -421,6 +430,9 @@ ERROR_CONTRACT_CASES = {
     # NUL bytes cannot reach a file name; only a config file can carry them.
     "scenario-id-nul": (["sample"], _file("sample", scenario_id="a\u0000b")),
     "output-path-nul": (["epr"], {"kind": "epr", "output_path": "x\u0000y"}),
+    # scenario_id is the default file stem and a log field.
+    "scenario-id-escape": (["sample"], _file("sample", scenario_id="x/../../escaped")),
+    "scenario-id-cr": (["sample"], _file("sample", scenario_id="a\rb")),
     # Screen geometries whose float arithmetic overflows or underflows.
     "twoslit-phase-overflow": (
         ["twoslit", "--preset", "custom", "--d", "1e300", "--wavelength", "1", "--L", "1",

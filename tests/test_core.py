@@ -10,6 +10,7 @@ from qeraser.core import (
     ZERO_PROBABILITY,
     DensityOperator,
     PureState,
+    checked_probabilities,
     condition_on_system,
     fidelity_pure,
     inner_product,
@@ -24,7 +25,11 @@ from qeraser.core import (
 from qeraser.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvariantError,
     NoMarkerError,
+    NonFiniteError,
+    NotNormalizedError,
+    QEraserError,
     ZeroNormError,
     ZeroProbabilityError,
 )
@@ -402,3 +407,29 @@ class TestProbabilityValidator:
     def test_valid_values_clipped_and_read_only(self, build):
         probs = build([0.5, 0.5 + 1e-13, -1e-13, 0.0]).probabilities
         assert np.min(probs) == 0.0 and not probs.flags.writeable
+
+
+class TestRuleErrors:
+    """Each state rule raises a domain error (exit 3 from the CLI) that is
+    still the builtin class callers caught before."""
+
+    @pytest.mark.parametrize(
+        "violate, error, builtin",
+        [
+            (lambda: make_state((2, 1), [math.nan, 1.0]), NonFiniteError, ValueError),
+            (lambda: PureState(2, 1, np.array([1.0, 1.0])), NotNormalizedError, ValueError),
+            (lambda: tensor(make_state((2, 1), [1, 0]), [3, 4j]), NotNormalizedError, ValueError),
+            (lambda: project_marker(ENTANGLED, [1, 1]), NotNormalizedError, ValueError),
+            (lambda: fidelity_pure(DensityOperator(np.eye(2) / 2), [1, 1]), NotNormalizedError,
+             ValueError),
+            (lambda: checked_probabilities([1.5, -0.5], "p"), InvariantError, AssertionError),
+            (lambda: checked_probabilities([0.5, math.nan], "p"), InvariantError, AssertionError),
+        ],
+        ids=["non-finite", "state-norm", "tensor-norm", "marker-norm", "target-norm",
+             "probability-range", "probability-non-finite"],
+    )
+    def test_rule_error_classes(self, violate, error, builtin):
+        with pytest.raises(error) as info:
+            violate()
+        assert isinstance(info.value, QEraserError)
+        assert isinstance(info.value, builtin)

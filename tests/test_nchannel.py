@@ -11,6 +11,7 @@ from qeraser.errors import (
     LengthMismatchError,
     NoMarkerError,
     OddChannelCountError,
+    ValidationError,
     ZeroProbabilityError,
 )
 from qeraser.marker import erasure_basis, which_path_basis
@@ -91,6 +92,12 @@ class TestConfig:
             assert first.residual < 1e-12
         other = random_config(6, seed=1)
         assert not np.array_equal(other.phis, random_config(6, seed=2).phis)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 1, 1.5])
+    def test_random_config_rejects_aliased_seeds(self, seed):
+        """Masked or truncated, these would reproduce another seed's configuration."""
+        with pytest.raises(ValidationError, match="seed"):
+            random_config(6, seed)
 
 
 class TestBareState:
