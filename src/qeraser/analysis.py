@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -183,6 +183,30 @@ class EventRecord(NamedTuple):
 
 EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
+#: Events drawn, and log rows formatted, at a time.
+_EVENT_CHUNK = 1 << 16
+
+
+def _checked_count(count: int) -> None:
+    if count < 1:
+        raise InvalidCountError(f"count must be >= 1, got {count}")
+    if count > core.MAX_SIZE:
+        raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
+
+
+def _cell_chunks(table: JointTable, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Flat cell indices of `count` inverse-CDF draws, _EVENT_CHUNK at a time.
+
+    Output i of the splitmix64 stream depends only on (seed, i), so the
+    chunks concatenate to the draws of one batch.
+    """
+    cdf = np.cumsum(table.probabilities.reshape(-1))
+    cdf /= cdf[-1]
+    stream = SplitMix64(seed)
+    for start in range(0, count, _EVENT_CHUNK):
+        uniforms = stream.floats(min(_EVENT_CHUNK, count - start))
+        yield np.searchsorted(cdf, uniforms, side="right")
+
 
 def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
     """Flat (row-major) cell indices of `count` inverse-CDF draws.
@@ -191,14 +215,26 @@ def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
     exactly 1; a uniform u lands in the first cell whose CDF exceeds it,
     so zero-probability cells are never drawn.
     """
-    if count < 1:
-        raise InvalidCountError(f"count must be >= 1, got {count}")
-    if count > core.MAX_SIZE:
-        raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
-    cdf = np.cumsum(table.probabilities.reshape(-1))
-    cdf /= cdf[-1]
-    uniforms = SplitMix64(seed).floats(count)
-    return np.searchsorted(cdf, uniforms, side="right")
+    _checked_count(count)
+    return np.concatenate(list(_cell_chunks(table, count, seed)))
+
+
+def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_labels):
+    """(table, integer row labels, seed) of an event log, after every check.
+
+    Both event-log paths call this before drawing anything, so a bad input
+    raises before the first event or byte.
+    """
+    if not scenario_id.isprintable() or any(char in scenario_id for char in ",/\\"):
+        raise ValidationError(
+            f"scenario_id must be printable and contain no ',', '/' or '\\', got {scenario_id!r}"
+        )
+    seed = checked_seed(seed)
+    table = joint_distribution(state, marker_basis, order, system_labels)
+    if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
+        raise ValidationError("system labels must be integers in event logs")
+    _checked_count(count)
+    return table, [int(label) for label in table.row_labels], seed
 
 
 def sample_events(
@@ -220,25 +256,60 @@ def sample_events(
     system_labels, when given, must be integers (e.g. 1-based detector
     numbers) and are used as the logged system outcomes.
     """
-    if not scenario_id.isprintable() or any(char in scenario_id for char in ",/\\"):
-        raise ValidationError(
-            f"scenario_id must be printable and contain no ',', '/' or '\\', got {scenario_id!r}"
-        )
-    seed = checked_seed(seed)
-    table = joint_distribution(state, marker_basis, order, system_labels)
-    if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
-        raise ValidationError("system labels must be integers in event logs")
-    labels = [int(label) for label in table.row_labels]
-    cells = sample_outcomes(table, count, seed)
-    systems, markers = np.divmod(cells, len(table.col_labels))
-    return list(
-        map(
-            EventRecord,
-            repeat(scenario_id),
-            range(cells.size),
-            map(labels.__getitem__, systems.tolist()),
-            markers.tolist(),
-            repeat(order),
-            repeat(seed),
-        )
+    table, labels, seed = _event_inputs(
+        state, marker_basis, order, count, seed, scenario_id, system_labels
     )
+    events: list[EventRecord] = []
+    for cells in _cell_chunks(table, count, seed):
+        systems, markers = np.divmod(cells, len(table.col_labels))
+        events.extend(
+            map(
+                EventRecord,
+                repeat(scenario_id),
+                range(len(events), len(events) + cells.size),
+                map(labels.__getitem__, systems.tolist()),
+                markers.tolist(),
+                repeat(order),
+                repeat(seed),
+            )
+        )
+    return events
+
+
+def event_log_chunks(
+    state: core.PureState,
+    marker_basis,
+    order: str,
+    count: int,
+    seed: int,
+    scenario_id: str = "scenario",
+    system_labels=None,
+) -> Iterator[str]:
+    """The CSV text of sample_events' records, header first, in chunks.
+
+    The chunks join to EVENT_LOG_HEADER and one csv_row() per record,
+    each line ending in a newline. Every check of sample_events is made
+    before this returns, so iterating raises no QEraserError; the rows
+    are drawn and formatted _EVENT_CHUNK at a time, and no record object
+    is built.
+    """
+    table, labels, seed = _event_inputs(
+        state, marker_basis, order, count, seed, scenario_id, system_labels
+    )
+    cols = len(table.col_labels)
+    # Everything after the event index depends only on the drawn cell.
+    suffixes = [
+        f"{labels[cell // cols]},{cell % cols},{order},{seed}"
+        for cell in range(len(labels) * cols)
+    ]
+
+    def rows():
+        yield EVENT_LOG_HEADER + "\n"
+        start = 0
+        for cells in _cell_chunks(table, count, seed):
+            yield "".join(
+                [f"{scenario_id},{i},{suffixes[c]}\n" for i, c in enumerate(cells.tolist(), start)]
+            )
+            start += cells.size
+
+    return rows()

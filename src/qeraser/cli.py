@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -339,10 +340,10 @@ def _sample_state_and_basis(params):
 def _run_sample(params):
     state, basis, labels, derived_id = _sample_state_and_basis(params)
     scenario_id = params["scenario_id"] or derived_id
-    events = analysis.sample_events(
+    rows = analysis.event_log_chunks(
         state, basis, params["order"], params["count"], params["seed"], scenario_id, labels
     )
-    return events, f"events_{scenario_id}"
+    return rows, f"events_{scenario_id}"
 
 
 _PRESET = Param("preset", default="default", choices=("default", "custom"))
@@ -419,6 +420,10 @@ SCENARIOS = {
 
 
 # -- emitters -----------------------------------------------------------------
+#
+# Each emitter returns the artifact as an iterable of text chunks. The
+# pattern and table emitters build their text at once, so they raise
+# before returning; the event log is formatted as main writes it.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +434,7 @@ def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(payload["x"]), probs
 
 
-def emit_pattern_csv(payload, echo: str) -> str:
+def emit_pattern_csv(payload, echo: str) -> tuple[str]:
     """CSV with columns index_or_x,probability[,condition] at 17 digits."""
     xs, probs = _pattern_columns(payload)
     condition = payload["condition"]
@@ -440,10 +445,10 @@ def emit_pattern_csv(payload, echo: str) -> str:
         row += "," + condition.replace("{", "{{").replace("}", "}}")
     lines = [f"# config: {echo}", header]
     lines.extend(map(row.format, xs.tolist(), probs.tolist()))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
-def emit_pattern_json(payload, echo: str) -> str:
+def emit_pattern_json(payload, echo: str) -> tuple[str]:
     xs, probs = _pattern_columns(payload)
     document = {
         "config": json.loads(echo),
@@ -451,44 +456,46 @@ def emit_pattern_json(payload, echo: str) -> str:
         "probability": probs.tolist(),
         "condition": payload["condition"],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n",)
 
 
-def emit_pattern_svg(payload, echo: str) -> str:
+def emit_pattern_svg(payload, echo: str) -> tuple[str]:
     _, probs = _pattern_columns(payload)
     chart = _svg.bar_chart if payload["chart"] == "bar" else _svg.line_chart
     comment = f"config: {echo}"
-    return chart(
-        payload["x"], probs, payload["title"], payload["x_label"], "probability", comment
+    return (
+        chart(payload["x"], probs, payload["title"], payload["x_label"], "probability", comment),
     )
 
 
-def emit_joint_json(table: analysis.JointTable, echo: str) -> str:
+def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
     document = {
         "config": json.loads(echo),
         "row_labels": list(table.row_labels),
         "col_labels": list(table.col_labels),
         "probabilities": table.probabilities.tolist(),
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n",)
 
 
-def emit_joint_csv(table: analysis.JointTable, echo: str) -> str:
+def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
     lines = [f"# config: {echo}", "row,col,probability"]
     for row_label, row in zip(table.row_labels, table.probabilities.tolist()):
         for col_label, p in zip(table.col_labels, row):
             lines.append(f"{row_label},{col_label},{FLOAT_FMT.format(p)}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n",)
 
 
-def emit_event_log(events, echo: str) -> str:
-    lines = [f"# config: {echo}", analysis.EVENT_LOG_HEADER]
-    lines.extend(event.csv_row() for event in events)
-    return "\n".join(lines) + "\n"
+def emit_event_log(rows: Iterable[str], echo: str) -> Iterator[str]:
+    """The config line, then the header and rows of analysis.event_log_chunks."""
+    return itertools.chain((f"# config: {echo}\n",), rows)
 
 
-def run(config: ScenarioConfig) -> tuple[str, str]:
-    """Execute one scenario; returns (artifact text, default filename stem)."""
+def run(config: ScenarioConfig) -> tuple[Iterable[str], str]:
+    """Execute one scenario; returns (artifact text chunks, default filename stem).
+
+    Every error of the scenario is raised here, before any chunk exists.
+    """
     if config.output not in FORMATS:
         raise ValidationError(f"unknown output format {config.output!r}")
     scenario = SCENARIOS[config.kind]
@@ -557,14 +564,18 @@ def main(argv=None) -> int:
         if ns.command == "check":
             return _run_check()
         config = _build_config(ns.command, ns)
-        text, stem = run(config)
+        chunks, stem = run(config)
         path = _resolve_output(config, stem)
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
             if path.parent != Path("."):
                 path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(text.encode("utf-8"))
+            # Written in place, not renamed over: the path may be a device
+            # or a symlink. A failing run never gets here, so it leaves no
+            # file; an I/O error part-way can leave a partial one.
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
             print(str(path))
         return 0
     except _ParseExit as exc:

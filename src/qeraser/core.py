@@ -178,6 +178,21 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def _exactly_normalized(unit: np.ndarray) -> tuple[np.ndarray, float]:
+    """(unit / scale, scale) for a vector just divided by a BLAS norm.
+
+    On one BLAS thread a BLAS norm or dot product can miss the exact
+    squared norm by more than ATOL from ~6 x 10^5 amplitudes. scale is the
+    exact norm when the exact squared norm misses 1 by more than ATOL / 2,
+    and 1.0 otherwise, so that every other vector keeps its bytes.
+    """
+    sq_norm = _squared_norm(unit)
+    if abs(sq_norm - 1.0) <= ATOL / 2:
+        return unit, 1.0
+    scale = math.sqrt(sq_norm)
+    return unit / scale, scale
+
+
 def make_state(dims: tuple[int, int], amplitudes) -> PureState:
     """Build a normalized state from raw amplitudes.
 
@@ -190,15 +205,8 @@ def make_state(dims: tuple[int, int], amplitudes) -> PureState:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroNormError("cannot normalize the zero vector")
-    unit = vec / norm
-    # On one BLAS thread linalg.norm can miss the exact squared norm by more
-    # than ATOL from ~6 x 10^5 amplitudes. Correct once with the exact sum,
-    # and only then, so that every other state keeps its bytes.
-    sq_norm = _squared_norm(unit)
-    if abs(sq_norm - 1.0) > ATOL / 2:
-        unit /= math.sqrt(sq_norm)
-        norm *= math.sqrt(sq_norm)
-    return PureState(system_dim, marker_dim, unit, normalization=norm)
+    unit, scale = _exactly_normalized(vec / norm)
+    return PureState(system_dim, marker_dim, unit, normalization=norm * scale)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -234,7 +242,8 @@ def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
 
     Returns (residual system state, probability). The probability is the
     squared norm of the unnormalized partial inner product and the
-    residual is that partial state renormalized by condition_block.
+    residual is that partial state renormalized by condition_block, with
+    make_state's exact-norm correction.
     Raises NoMarkerError for marker-free states and ZeroProbabilityError
     below ZERO_PROBABILITY.
     """
@@ -243,6 +252,7 @@ def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
     mv = _unit_vector(marker_state, 2, "marker state")
     partial = state.amplitudes.reshape(state.system_dim, 2) @ mv.conj()
     residual, probability = condition_block(partial, "marker projection")
+    residual, _ = _exactly_normalized(residual)
     return PureState(state.system_dim, 1, residual), probability
 
 

@@ -1,16 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import chi_square_pass, conditioned_screen_joint
 from qeraser import analysis, core
 from qeraser.analysis import (
     MARKER_FIRST,
+    ORDERS,
     SYSTEM_FIRST,
     EVENT_LOG_HEADER,
     epr_correlation_table,
     epr_state,
+    event_log_chunks,
     joint_distribution,
     mutual_information,
     ordering_invariance_residual,
@@ -288,6 +293,74 @@ class TestSampling:
             "scenario_id", "event_index", "system_outcome",
             "marker_outcome", "order", "seed",
         ]
+
+
+#: (state, system labels) of the three sampled scenarios, as the CLI builds them.
+SCENARIO_MODELS = {
+    "nchannel": (final_state_marked(default_config(10)), list(range(1, 11))),
+    "twoslit": (marked_state(default_grid()), list(range(default_grid().bins))),
+    "epr": (epr_state(), [0, 1]),
+}
+
+
+def reference_log(*args) -> str:
+    """The event log as EVENT_LOG_HEADER and the csv_row() of every record."""
+    events = sample_events(*args)
+    return EVENT_LOG_HEADER + "\n" + "\n".join(e.csv_row() for e in events) + "\n"
+
+
+class TestEventLogChunks:
+    @given(
+        scenario=st.sampled_from(sorted(SCENARIO_MODELS)),
+        order=st.sampled_from(ORDERS),
+        basis=st.sampled_from(["whichpath", "erasure"]),
+        theta=st.floats(0.0, math.pi),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        chunk=st.sampled_from([1, 7, 1 << 16, "above count"]),
+        offset=st.sampled_from([0, 2**70]),
+        scenario_id=st.sampled_from(["s", "run 2.ü", "x{}"]),
+    )
+    def test_bytes_equal_record_rows_for_every_chunk_size(
+        self, scenario, order, basis, theta, count, seed, chunk, offset, scenario_id
+    ):
+        state, labels = SCENARIO_MODELS[scenario]
+        marker = which_path_basis() if basis == "whichpath" else erasure_basis(theta)
+        args = (state, marker, order, count, seed, scenario_id, [j + offset for j in labels])
+        size = count + 1 if chunk == "above count" else chunk
+        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+            chunks = list(event_log_chunks(*args))
+        assert len(chunks) == 1 + -(-count // size)
+        assert all(text.endswith("\n") for text in chunks)
+        assert "".join(chunks) == reference_log(*args)
+
+    def test_chunk_boundaries_at_default_size(self):
+        """Three chunks of 2^16 draws equal one batch of the same stream."""
+        state, labels = SCENARIO_MODELS["nchannel"]
+        count = 2 * analysis._EVENT_CHUNK + 5
+        args = (state, erasure_basis(0.3), SYSTEM_FIRST, count, 9, "s", labels)
+        streamed = "".join(event_log_chunks(*args))
+        with mock.patch.object(analysis, "_EVENT_CHUNK", count + 1):
+            assert streamed == reference_log(*args)
+
+    @pytest.mark.parametrize(
+        "count, seed, scenario_id, labels, error",
+        [
+            (0, 1, "s", None, InvalidCountError),
+            (core.MAX_SIZE + 1, 1, "s", None, InvalidCountError),
+            (1, 2**64, "s", None, ValidationError),
+            (1, 1, "a,b", None, ValidationError),
+            (1, 1, "s", [str(j) for j in range(10)], ValidationError),
+        ],
+    )
+    def test_every_check_is_made_before_the_iterator_exists(
+        self, count, seed, scenario_id, labels, error
+    ):
+        state, _ = SCENARIO_MODELS["nchannel"]
+        with pytest.raises(error):
+            event_log_chunks(
+                state, erasure_basis(0.0), SYSTEM_FIRST, count, seed, scenario_id, labels
+            )
 
 
 def loop_mutual_information(probs):

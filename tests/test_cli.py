@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qeraser import cli
+from qeraser import analysis, cli
 
 
 def run_cli(args, capsys):
@@ -106,15 +109,20 @@ class TestNChannel:
         assert len(rows) == n
 
 
-def run_one_blas_thread(tmp_path, n):
-    """`nchannel --n n` in a subprocess pinned to one BLAS thread."""
+def one_blas_thread_env() -> dict:
+    """The environment for a subprocess that imports this qeraser on one BLAS thread."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_one_blas_thread(tmp_path, n):
+    """`nchannel --n n` in a subprocess pinned to one BLAS thread."""
     out = tmp_path / "wide.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "qeraser.cli", "nchannel", "--n", str(n), "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=one_blas_thread_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == n + 2
@@ -129,6 +137,20 @@ class TestOneBlasThread:
     def test_three_hundred_thousand_channels(self, tmp_path):
         """Here a one-thread linalg.norm can miss the exact squared norm by over 1e-12."""
         run_one_blas_thread(tmp_path, 300_000)
+
+    def test_conditioning_three_million_channels(self):
+        """Here the BLAS dot product that renormalizes a marker projection misses too."""
+        script = (
+            "from qeraser import nchannel\n"
+            "from qeraser.marker import erasure_basis\n"
+            "state = nchannel.final_state_marked(nchannel.default_config(3_000_000))\n"
+            "nchannel.conditioned_distribution(state, erasure_basis(0.0).plus)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=one_blas_thread_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTwoSlit:
@@ -294,6 +316,65 @@ class TestSample:
             ["sample", "--format", "json", "-o", str(tmp_path / "x.json")], capsys
         )
         assert code == 3
+
+
+def sample_peak_rss_kib(tmp_path, count: int) -> int:
+    """Peak RSS (ru_maxrss, KiB) of a `sample --count count -o <file>` process."""
+    argv = ["sample", "--count", str(count), "-o", str(tmp_path / "events.csv")]
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qeraser.cli", *argv],
+            env=one_blas_thread_env(), stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    assert len((tmp_path / "events.csv").read_text().splitlines()) == count + 2
+    return usage.ru_maxrss
+
+
+class FullDisk(io.TextIOWrapper):
+    """A text file whose writes fail with ENOSPC once one chunk is written."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+class TestStreamedLog:
+    """The event log is written chunk by chunk, in place."""
+
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        small = sample_peak_rss_kib(tmp_path, 100_000)
+        large = sample_peak_rss_kib(tmp_path, 2_000_000)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_dev_null_is_written_through(self, capsys):
+        code, out, err = run_cli(["sample", "--count", "1000", "-o", os.devnull], capsys)
+        assert (code, out, err) == (0, os.devnull + "\n", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_write_error_after_first_chunk_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        def full_disk_open(path, mode, encoding, newline):
+            return FullDisk(open(path, "wb"), encoding=encoding, newline=newline)
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(analysis, "_EVENT_CHUNK", 7)
+        out = tmp_path / "events.csv"
+        code, stdout, err = run_cli(["sample", "--count", "100", "-o", str(out)], capsys)
+        assert code == 4
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "OSError",
+            "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}",
+            "exit_code": 4,
+        }
+        # The partial file holds what was written before the error: the config line.
+        assert out.read_text().startswith("# config: ")
+        assert out.read_text().count("\n") == 1
 
 
 class TestConfigHandling:
