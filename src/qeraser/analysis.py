@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import core
 from .errors import (
+    DimensionMismatchError,
     InvalidCountError,
     ValidationError,
     ZeroProbabilityError,
 )
-from .marker import basis_pair
 from .rng import SplitMix64, checked_seed
 
 MARKER_FIRST = "marker_first"
@@ -55,7 +54,7 @@ class JointTable:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         rows, cols = len(self.row_labels), len(self.col_labels)
         if probs.shape != (rows, cols):
-            raise ValueError(f"table shape {probs.shape} does not match labels")
+            raise DimensionMismatchError(f"table shape {probs.shape} does not match labels")
         probs = core.checked_probabilities(probs, "joint table entries")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
@@ -77,21 +76,25 @@ def joint_distribution(
     ordering_invariance_residual).
 
     system_labels, when given, names the rows (e.g. 1-based detector
-    numbers); the default is the 0-based outcome index.
+    numbers); the default is the 0-based outcome index. marker_basis is a
+    pair of orthogonal MarkerStates, such as erasure_basis(theta) or
+    which_path_basis().
     """
     if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    states = basis_pair(marker_basis)
+        raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
+    first, second = marker_basis
+    if abs(first.overlap(second)) > core.ATOL:
+        raise ValidationError("marker basis states must be orthogonal")
     if system_labels is None:
         system_labels = tuple(range(state.system_dim))
     else:
         system_labels = tuple(system_labels)
         if len(system_labels) != state.system_dim:
-            raise ValueError("system_labels must cover every system outcome")
+            raise DimensionMismatchError("system_labels must cover every system outcome")
 
     if order == MARKER_FIRST:
         table = np.zeros((state.system_dim, 2))
-        for col, element in enumerate(states):
+        for col, element in enumerate((first, second)):
             try:
                 residual, branch = core.project_marker(state, element.vector)
             except ZeroProbabilityError:
@@ -99,9 +102,9 @@ def joint_distribution(
             table[:, col] = branch * residual.system_probabilities()
     else:
         weights, conditionals = core.condition_on_system(state)
-        basis = np.stack([element.vector for element in states])
+        basis = np.stack([first.vector, second.vector])
         table = weights[:, None] * np.abs(conditionals @ basis.conj().T) ** 2
-    return JointTable(system_labels, tuple(s.label for s in states), table)
+    return JointTable(system_labels, (first.label, second.label), table)
 
 
 def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
@@ -187,40 +190,45 @@ EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 _EVENT_CHUNK = 1 << 16
 
 
-def _checked_count(count: int) -> None:
+def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
+    """Flat (row-major) cell indices of `count` inverse-CDF draws, in chunks.
+
+    The seed rule (rng.checked_seed) and the count range are checked when
+    this is called; the returned iterator then yields _EVENT_CHUNK cells at
+    a time. The CDF is the running sum of the table rescaled so its last
+    entry is exactly 1; a uniform u lands in the first cell whose CDF
+    exceeds it, so zero-probability cells are never drawn. Output i of the
+    splitmix64 stream depends only on (seed, i), so the chunks concatenate
+    to the draws of one batch.
+    """
+    stream = SplitMix64(checked_seed(seed))
     if count < 1:
         raise InvalidCountError(f"count must be >= 1, got {count}")
     if count > core.MAX_SIZE:
         raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
-
-
-def _cell_chunks(table: JointTable, count: int, seed: int) -> Iterator[np.ndarray]:
-    """Flat cell indices of `count` inverse-CDF draws, _EVENT_CHUNK at a time.
-
-    Output i of the splitmix64 stream depends only on (seed, i), so the
-    chunks concatenate to the draws of one batch.
-    """
     cdf = np.cumsum(table.probabilities.reshape(-1))
     cdf /= cdf[-1]
-    stream = SplitMix64(seed)
-    for start in range(0, count, _EVENT_CHUNK):
-        uniforms = stream.floats(min(_EVENT_CHUNK, count - start))
-        yield np.searchsorted(cdf, uniforms, side="right")
+
+    def chunks():
+        for start in range(0, count, _EVENT_CHUNK):
+            uniforms = stream.floats(min(_EVENT_CHUNK, count - start))
+            yield np.searchsorted(cdf, uniforms, side="right")
+
+    return chunks()
 
 
 def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
     """Flat (row-major) cell indices of `count` inverse-CDF draws.
 
-    The CDF is the running sum of the table rescaled so its last entry is
-    exactly 1; a uniform u lands in the first cell whose CDF exceeds it,
-    so zero-probability cells are never drawn.
+    count must be in [1, core.MAX_SIZE] and the seed an integer in
+    [0, 2^64) (rng.checked_seed).
     """
-    _checked_count(count)
-    return np.concatenate(list(_cell_chunks(table, count, seed)))
+    return np.concatenate(list(_draws(table, count, seed)))
 
 
 def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_labels):
-    """(table, integer row labels, seed) of an event log, after every check.
+    """(cell draws, (system label, marker index) per table cell, seed) of an
+    event log, after every check.
 
     Both event-log paths call this before drawing anything, so a bad input
     raises before the first event or byte.
@@ -229,12 +237,13 @@ def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_l
         raise ValidationError(
             f"scenario_id must be printable and contain no ',', '/' or '\\', got {scenario_id!r}"
         )
-    seed = checked_seed(seed)
     table = joint_distribution(state, marker_basis, order, system_labels)
     if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
         raise ValidationError("system labels must be integers in event logs")
-    _checked_count(count)
-    return table, [int(label) for label in table.row_labels], seed
+    draws = _draws(table, count, seed)
+    markers = range(len(table.col_labels))
+    cells = [(int(label), marker) for label in table.row_labels for marker in markers]
+    return draws, cells, int(seed)
 
 
 def sample_events(
@@ -256,22 +265,17 @@ def sample_events(
     system_labels, when given, must be integers (e.g. 1-based detector
     numbers) and are used as the logged system outcomes.
     """
-    table, labels, seed = _event_inputs(
+    draws, cells, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
     events: list[EventRecord] = []
-    for cells in _cell_chunks(table, count, seed):
-        systems, markers = np.divmod(cells, len(table.col_labels))
+    for chunk in draws:
+        drawn = map(cells.__getitem__, chunk.tolist())
         events.extend(
-            map(
-                EventRecord,
-                repeat(scenario_id),
-                range(len(events), len(events) + cells.size),
-                map(labels.__getitem__, systems.tolist()),
-                markers.tolist(),
-                repeat(order),
-                repeat(seed),
-            )
+            [
+                EventRecord(scenario_id, index, label, marker, order, seed)
+                for index, (label, marker) in enumerate(drawn, len(events))
+            ]
         )
     return events
 
@@ -293,23 +297,19 @@ def event_log_chunks(
     are drawn and formatted _EVENT_CHUNK at a time, and no record object
     is built.
     """
-    table, labels, seed = _event_inputs(
+    draws, cells, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    cols = len(table.col_labels)
     # Everything after the event index depends only on the drawn cell.
-    suffixes = [
-        f"{labels[cell // cols]},{cell % cols},{order},{seed}"
-        for cell in range(len(labels) * cols)
-    ]
+    suffixes = [f"{label},{marker},{order},{seed}" for label, marker in cells]
 
     def rows():
         yield EVENT_LOG_HEADER + "\n"
         start = 0
-        for cells in _cell_chunks(table, count, seed):
+        for chunk in draws:
             yield "".join(
-                [f"{scenario_id},{i},{suffixes[c]}\n" for i, c in enumerate(cells.tolist(), start)]
+                [f"{scenario_id},{i},{suffixes[c]}\n" for i, c in enumerate(chunk.tolist(), start)]
             )
-            start += cells.size
+            start += chunk.size
 
     return rows()

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ATOL
-from .errors import NonFinitePhaseError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NonFinitePhaseError,
+    NotNormalizedError,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -36,9 +42,9 @@ class MarkerState:
         c1, c2 = complex(self.c1), complex(self.c2)
         for c in (c1, c2):
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("marker amplitudes must be finite")
+                raise NonFiniteError("marker amplitudes must be finite")
         if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > ATOL:
-            raise ValueError("marker state is not normalized")
+            raise NotNormalizedError("marker state is not normalized")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
 
@@ -61,25 +67,15 @@ class MarkerState:
     def from_vector(cls, vec, label: str = "marker") -> "MarkerState":
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
         if v.size != 2:
-            raise ValueError("marker vector must have two components")
+            raise DimensionMismatchError("marker vector must have two components")
         return cls(complex(v[0]), complex(v[1]), label)
 
 
-@dataclass(frozen=True)
-class MarkerBasis:
-    """One orthonormal erasure pair plus(theta), minus(theta)."""
+class MarkerBasis(NamedTuple):
+    """The erasure pair (plus(theta), minus(theta)), orthonormal as built."""
 
-    theta: float
     plus: MarkerState
     minus: MarkerState
-
-    def __post_init__(self):
-        if abs(self.plus.overlap(self.minus)) > ATOL:
-            raise ValueError("erasure pair is not orthogonal")
-
-    @property
-    def states(self) -> tuple[MarkerState, MarkerState]:
-        return (self.plus, self.minus)
 
 
 def which_path_basis() -> tuple[MarkerState, MarkerState]:
@@ -100,28 +96,19 @@ def erasure_basis(theta: float) -> MarkerBasis:
     backward = complex(math.cos(theta), -math.sin(theta)) * SQRT_HALF
     tag = f"{theta:.12g}"
     return MarkerBasis(
-        theta,
         MarkerState(forward, backward, f"dplus[theta={tag}]"),
         MarkerState(forward, -backward, f"dminus[theta={tag}]"),
     )
 
 
-def basis_pair(basis) -> tuple[MarkerState, MarkerState]:
-    """The two states of a MarkerBasis or of a plain (state, state) pair."""
-    if isinstance(basis, MarkerBasis):
-        return basis.states
-    first, second = basis
-    return (first, second)
-
-
 def mutual_unbiasedness_check(basis_a, basis_b) -> float:
     """Largest deviation of any cross |overlap|^2 from 1/2.
 
-    Accepts MarkerBasis objects or plain (state, state) pairs; 0 means the
-    two bases are exactly mutually unbiased.
+    Each basis is a pair of MarkerStates, such as erasure_basis(theta) or
+    which_path_basis(); 0 means the two bases are exactly mutually unbiased.
     """
     deviation = 0.0
-    for a in basis_pair(basis_a):
-        for b in basis_pair(basis_b):
+    for a in basis_a:
+        for b in basis_b:
             deviation = max(deviation, abs(a.squared_overlap(b) - 0.5))
     return deviation

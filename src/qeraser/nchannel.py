@@ -109,10 +109,16 @@ def default_config(n: int) -> PhaseConfig:
 def random_config(n: int, seed: int) -> PhaseConfig:
     """Draw a valid phase configuration deterministically from a seed.
 
-    All theta_j and the phi_j of channels 3..n are uniform in [0, 2pi).
-    The first two phi's are then solved so the unitarity sum vanishes
-    exactly: with S the partial sum of e^{i (phi_j - theta_j)} over
-    channels 3..n (resampled until |S| <= 2), write -S = r e^{i a} and set
+    All theta_j and then the phi_j of channels 3..n are drawn uniform in
+    [0, 2pi), 2n - 2 uniforms in two batches. Let S be the sum of
+    e^{i (phi_j - theta_j)} over channels 3..n. While |S| > 2, the next
+    of those channels whose term has a positive projection c on S has
+    its term reflected across the line orthogonal to S, which keeps S's
+    direction and lowers |S| by 2c; the positive projections sum to at
+    least |S|, so the reflections bring |S| into (0, 2] before the
+    channels run out. The
+    first two phi's are then solved so the unitarity sum vanishes
+    exactly: with S recomputed and -S = r e^{i a}, set
 
         phi_1 = theta_1 + a + arccos(r / 2)
         phi_2 = theta_2 + a - arccos(r / 2)
@@ -125,19 +131,23 @@ def random_config(n: int, seed: int) -> PhaseConfig:
     stream = SplitMix64(checked_seed(seed))
     two_pi = 2.0 * math.pi
     thetas = stream.floats(n) * two_pi
-    while True:
-        tail = stream.floats(n - 2) * two_pi if n > 2 else np.zeros(0)
-        partial = complex(np.sum(np.exp(1j * (tail - thetas[2:]))))
-        if abs(partial) <= 2.0:
-            break
+    phis = np.empty(n)
+    phis[2:] = stream.floats(n - 2) * two_pi
+    offsets = phis[2:] - thetas[2:]
+    partial = complex(np.sum(np.exp(1j * offsets)))
+    excess = abs(partial) - 2.0
+    if excess > 0.0:
+        axis = math.atan2(partial.imag, partial.real)
+        drops = 2.0 * np.maximum(np.cos(offsets - axis), 0.0)
+        last = np.searchsorted(np.cumsum(drops), excess)
+        flip = np.flatnonzero(drops[: last + 1])
+        phis[2 + flip] = thetas[2 + flip] + (2.0 * axis + math.pi) - offsets[flip]
+        partial = complex(np.sum(np.exp(1j * (phis[2:] - thetas[2:]))))
     r = abs(partial)
     alpha = math.atan2(-partial.imag, -partial.real) if r > 0.0 else 0.0
     beta = math.acos(min(r / 2.0, 1.0))
-    phis = np.empty(n)
     phis[0] = thetas[0] + alpha + beta
     phis[1] = thetas[1] + alpha - beta
-    if n > 2:
-        phis[2:] = tail
     return PhaseConfig(n, thetas, phis)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InvalidCountError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -70,7 +70,7 @@ class SplitMix64:
     def uint64s(self, count: int) -> np.ndarray:
         """Next `count` outputs as a uint64 array (advances the stream)."""
         if count < 0:
-            raise ValueError("count must be non-negative")
+            raise InvalidCountError("count must be non-negative")
         idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
         state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)  # wraps mod 2^64

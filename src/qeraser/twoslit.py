@@ -33,10 +33,9 @@ from .errors import (
     DegeneratePatternError,
     IndexOutOfRangeError,
     InvalidGeometryError,
+    ValidationError,
 )
-from .marker import MarkerState, erasure_basis
-
-_SIGNS = {"+": +1, "plus": +1, "-": -1, "minus": -1}
+from .marker import MarkerBasis, MarkerState, erasure_basis
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,12 @@ def pattern_conditioned(
 
     Returns (renormalized pattern, branch probability). The pattern is
     proportional to psi^2 [1 +/- cos(2 theta_x - 2 theta)] dx and the
-    branch probability is 1/2 for a symmetric envelope.
+    branch probability is 1/2 for a symmetric envelope. sign names the
+    element: "plus" or "minus".
     """
-    if sign not in _SIGNS:
-        raise ValueError(f"sign must be one of {sorted(_SIGNS)}, got {sign!r}")
-    basis = erasure_basis(theta)
-    element = basis.plus if _SIGNS[sign] > 0 else basis.minus
+    if sign not in MarkerBasis._fields:
+        raise ValidationError(f"sign must be one of {MarkerBasis._fields}, got {sign!r}")
+    element = getattr(erasure_basis(theta), sign)
     residual, probability = core.project_marker(marked_state(grid), element)
     pattern = ScreenPattern(grid, residual.system_probabilities(), element.label)
     return pattern, probability

@@ -49,6 +49,15 @@ class TestJointDistribution:
                 assert minus == pytest.approx(0.1, abs=1e-12)
                 assert plus == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_probability_marker_element_leaves_zero_column(self):
+        """No amplitude on d2: marker_first skips that projection, system_first reads 0."""
+        state = core.tensor(core.make_state((2, 1), [1, 1]), [1, 0])
+        tables = [joint_distribution(state, which_path_basis(), order) for order in ORDERS]
+        for table in tables:
+            assert np.all(table.probabilities[:, 1] == 0.0)
+            assert table.probabilities[:, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert ordering_invariance_residual(state, which_path_basis()) < 1e-15
+
     def test_orders_fill_the_same_table(self):
         state = final_state_marked(default_config(4))
         basis = erasure_basis(0.9)
@@ -270,6 +279,9 @@ class TestSampling:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             sample_events(self.state, self.basis, SYSTEM_FIRST, 1, seed, "s", self.labels)
+        table = joint_distribution(self.state, self.basis, SYSTEM_FIRST)
+        with pytest.raises(ValidationError, match="seed"):
+            sample_outcomes(table, 8, seed)
 
     def test_scenario_id_validation(self):
         """Printable, and no field separator or path separator: it names the log file."""

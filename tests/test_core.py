@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from qeraser.analysis import SYSTEM_FIRST, joint_distribution
+from qeraser.analysis import SYSTEM_FIRST, JointTable, joint_distribution
 from qeraser.core import (
     ZERO_PROBABILITY,
     DensityOperator,
@@ -25,15 +25,18 @@ from qeraser.core import (
 from qeraser.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidCountError,
     InvariantError,
     NoMarkerError,
     NonFiniteError,
     NotNormalizedError,
     QEraserError,
+    ValidationError,
     ZeroNormError,
     ZeroProbabilityError,
 )
-from qeraser.marker import erasure_basis
+from qeraser.marker import MarkerState, erasure_basis
+from qeraser.rng import SplitMix64
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -424,9 +427,24 @@ class TestRuleErrors:
              ValueError),
             (lambda: checked_probabilities([1.5, -0.5], "p"), InvariantError, AssertionError),
             (lambda: checked_probabilities([0.5, math.nan], "p"), InvariantError, AssertionError),
+            (lambda: JointTable((0, 1), ("a",), np.eye(2) / 2), DimensionMismatchError,
+             ValueError),
+            (lambda: joint_distribution(ENTANGLED, erasure_basis(0.0), "both"), ValidationError,
+             ValueError),
+            (lambda: joint_distribution(ENTANGLED, erasure_basis(0.0), SYSTEM_FIRST, [1]),
+             DimensionMismatchError, ValueError),
+            (lambda: MarkerState(math.inf, 0.0), NonFiniteError, ValueError),
+            (lambda: MarkerState(1.0, 1.0), NotNormalizedError, ValueError),
+            (lambda: MarkerState.from_vector([1.0, 0.0, 0.0]), DimensionMismatchError,
+             ValueError),
+            (lambda: SplitMix64(1).uint64s(-1), InvalidCountError, ValueError),
+            (lambda: joint_distribution(ENTANGLED, (erasure_basis(0.0).plus,) * 2, SYSTEM_FIRST),
+             ValidationError, ValueError),
         ],
         ids=["non-finite", "state-norm", "tensor-norm", "marker-norm", "target-norm",
-             "probability-range", "probability-non-finite"],
+             "probability-range", "probability-non-finite", "table-shape", "order",
+             "system-label-count", "marker-non-finite", "marker-norm-state",
+             "marker-vector-size", "negative-draw-count", "basis-not-orthogonal"],
     )
     def test_rule_error_classes(self, violate, error, builtin):
         with pytest.raises(error) as info:

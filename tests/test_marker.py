@@ -73,8 +73,8 @@ def test_theta_plus_pi_gives_same_basis_up_to_sign(theta):
     assert np.allclose(shifted.plus.vector, -base.plus.vector, atol=1e-12)
     assert np.allclose(shifted.minus.vector, -base.minus.vector, atol=1e-12)
     # all |overlap|^2 tables agree
-    for a in base.states:
-        for b, c in zip(base.states, shifted.states):
+    for a in base:
+        for b, c in zip(base, shifted):
             assert abs(a.squared_overlap(b) - a.squared_overlap(c)) < 1e-12
 
 

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bare_channel_probs, joint_channel_probs, marked_channel_probs
 from qeraser import analysis, core
@@ -26,6 +29,7 @@ from qeraser.nchannel import (
     random_config,
     validate_config,
 )
+from qeraser.rng import SplitMix64
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -98,6 +102,33 @@ class TestConfig:
         """Masked or truncated, these would reproduce another seed's configuration."""
         with pytest.raises(ValidationError, match="seed"):
             random_config(6, seed)
+
+    @staticmethod
+    def counted_random_config(n, seed):
+        """random_config(n, seed) and the number of uniforms it drew."""
+        drawn = []
+        floats = SplitMix64.floats
+
+        def counted(stream, count):
+            drawn.append(count)
+            return floats(stream, count)
+
+        with mock.patch.object(SplitMix64, "floats", counted):
+            config = random_config(n, seed)
+        return config, sum(drawn)
+
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**64 - 1))
+    @settings(deadline=None)
+    def test_random_config_draws_once_and_is_unitary(self, n, seed):
+        """2n - 2 uniforms, whatever the seed: the tail is repaired, never resampled."""
+        config, drawn = self.counted_random_config(n, seed)
+        assert drawn == 2 * n - 2
+        assert config.residual < core.UNITARITY_TOL
+
+    def test_random_config_at_1e5_channels(self):
+        config, drawn = self.counted_random_config(100_000, 12345)
+        assert drawn == 2 * 100_000 - 2
+        assert config.residual < core.UNITARITY_TOL
 
 
 class TestBareState:
@@ -225,7 +256,7 @@ class TestDelayedMode:
 
     def test_matches_rank_one_density_operator(self):
         state = final_state_marked(random_config(12, 3))
-        plus, minus = erasure_basis(0.0).states
+        plus, minus = erasure_basis(0.0)
         for j in range(1, 13):
             result = delayed_marker_state(state, j)
             vec = result.marker_state.vector

@@ -9,6 +9,7 @@ from qeraser.errors import (
     IndexOutOfRangeError,
     InvalidGeometryError,
     NonFinitePhaseError,
+    ValidationError,
     ZeroProbabilityError,
 )
 from qeraser.marker import erasure_basis
@@ -196,6 +197,12 @@ class TestPatterns:
             pattern_conditioned(GRID, float("inf"), "plus")
         with pytest.raises(ValueError):
             pattern_conditioned(GRID, 0.0, "sideways")
+
+    def test_sign_is_a_basis_field_name(self):
+        """Only "plus" and "minus" select an element; the symbol spellings are gone."""
+        for sign in ("+", "sideways"):
+            with pytest.raises(ValidationError, match="sign"):
+                pattern_conditioned(GRID, 0.0, sign)
 
 
 class TestDelayedMode:
