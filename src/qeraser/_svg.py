@@ -21,10 +21,10 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _scale(value, lo, hi, pixels):
+def _scale(values: np.ndarray, lo, hi, pixels) -> np.ndarray:
     if hi == lo:
-        return 0.0
-    return (value - lo) / (hi - lo) * pixels
+        return np.zeros(values.shape)
+    return (values - lo) / (hi - lo) * pixels
 
 
 def _frame(title: str, comment: str, body: list[str]) -> str:
@@ -71,15 +71,14 @@ def _axes(x_lo, x_hi, y_hi, x_label, y_label) -> list[str]:
 
 def line_chart(xs, ys, title, x_label, y_label, comment) -> str:
     """Polyline chart for continuous patterns."""
-    xs, ys = np.asarray(xs).tolist(), np.asarray(ys).tolist()
-    x_lo, x_hi = min(xs), max(xs)
-    y_hi = max(max(ys), 1e-300)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    x_lo, x_hi = xs.min().item(), xs.max().item()
+    y_hi = max(ys.max().item(), 1e-300)
     y0 = MARGIN_TOP + PLOT_H
-    points = " ".join(
-        f"{MARGIN_LEFT + _scale(x, x_lo, x_hi, PLOT_W):.6g},"
-        f"{y0 - _scale(y, 0.0, y_hi, PLOT_H):.6g}"
-        for x, y in zip(xs, ys)
-    )
+    flat = [None] * (2 * xs.size)
+    flat[0::2] = (MARGIN_LEFT + _scale(xs, x_lo, x_hi, PLOT_W)).tolist()
+    flat[1::2] = (y0 - _scale(ys, 0.0, y_hi, PLOT_H)).tolist()
+    points = (("%.6g,%.6g " * xs.size) % tuple(flat))[:-1]
     body = _axes(x_lo, x_hi, y_hi, x_label, y_label)
     body.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     return _frame(title, comment, body)
@@ -87,15 +86,14 @@ def line_chart(xs, ys, title, x_label, y_label, comment) -> str:
 
 def bar_chart(labels, values, title, x_label, y_label, comment) -> str:
     """Bar chart for discrete detector distributions."""
-    labels, values = np.asarray(labels).tolist(), np.asarray(values).tolist()
-    count = len(values)
-    y_hi = max(max(values), 1e-300)
+    labels, values = np.asarray(labels).tolist(), np.asarray(values)
+    count = values.size
+    y_hi = max(values.max().item(), 1e-300)
     y0 = MARGIN_TOP + PLOT_H
     slot = PLOT_W / count
     width = slot * 0.7
     body = _axes(0.5, count + 0.5, y_hi, x_label, y_label)
-    for i, (label, value) in enumerate(zip(labels, values)):
-        height = _scale(value, 0.0, y_hi, PLOT_H)
+    for i, (label, height) in enumerate(zip(labels, _scale(values, 0.0, y_hi, PLOT_H).tolist())):
         x = MARGIN_LEFT + i * slot + (slot - width) / 2
         body.append(
             f'<rect x="{x:.6g}" y="{y0 - height:.6g}" width="{width:.6g}" '

@@ -186,7 +186,7 @@ class EventRecord(NamedTuple):
 
 EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
-#: Events drawn, and log rows formatted, at a time.
+#: Events drawn, and rows of an event log or pattern artifact formatted, at a time.
 _EVENT_CHUNK = 1 << 16
 
 

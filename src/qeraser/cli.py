@@ -38,7 +38,7 @@ from .errors import QEraserError, ValidationError
 from .marker import erasure_basis, which_path_basis
 
 ENV_OUT_DIR = "QERASER_OUT_DIR"
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 FORMATS = ("csv", "json", "svg")
 
 
@@ -421,42 +421,77 @@ SCENARIOS = {
 
 # -- emitters -----------------------------------------------------------------
 #
-# Each emitter returns the artifact as an iterable of text chunks. The
-# pattern and table emitters build their text at once, so they raise
-# before returning; the event log is formatted as main writes it.
+# Each emitter checks its input when called and returns the artifact as an
+# iterable of text chunks. The pattern CSV and JSON and the event log are
+# formatted as main writes them, analysis._EVENT_CHUNK rows at a time, with
+# one `%` per chunk; the SVG and the joint tables are one chunk each.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
-    """index_or_x as given (integer detectors or float positions), probabilities as floats."""
+    """index_or_x as given (integer detectors or float positions), probabilities as floats.
+
+    Both columns must be finite numbers: then the `%d`/`%.17g`/`%r` rows
+    equal str.format and json.dumps.
+    """
+    xs = np.asarray(payload["x"])
     probs = np.asarray(payload["p"], dtype=np.float64)
     if probs.size == 0:
         raise ValidationError("cannot emit an empty pattern")
-    return np.asarray(payload["x"]), probs
+    if xs.dtype.kind not in "iuf":
+        raise ValidationError("pattern x must be integers or floats")
+    if not (np.isfinite(xs).all() and np.isfinite(probs).all()):
+        raise ValidationError("cannot emit a pattern with non-finite values")
+    return xs, probs
 
 
-def emit_pattern_csv(payload, echo: str) -> tuple[str]:
+def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
+    """`row % (c[i] for c in columns)` for each i, as analysis._EVENT_CHUNK rows per chunk."""
+    size = analysis._EVENT_CHUNK
+    width = len(columns)
+    for start in range(0, len(columns[0]), size):
+        parts = [column[start : start + size].tolist() for column in columns]
+        flat = [None] * (width * len(parts[0]))
+        for offset, part in enumerate(parts):
+            flat[offset::width] = part
+        yield (row * len(parts[0])) % tuple(flat)
+
+
+def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     """CSV with columns index_or_x,probability[,condition] at 17 digits."""
     xs, probs = _pattern_columns(payload)
     condition = payload["condition"]
     header = "index_or_x,probability"
-    row = ("{}," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
+    row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
     if condition != "none":
         header += ",condition"
-        row += "," + condition.replace("{", "{{").replace("}", "}}")
-    lines = [f"# config: {echo}", header]
-    lines.extend(map(row.format, xs.tolist(), probs.tolist()))
-    return ("\n".join(lines) + "\n",)
+        row += "," + condition.replace("%", "%%")
+    return itertools.chain((f"# config: {echo}\n{header}\n",), _rows(row + "\n", (xs, probs)))
 
 
-def emit_pattern_json(payload, echo: str) -> tuple[str]:
+def _json_array(column: np.ndarray) -> Iterator[str]:
+    """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
+    items = _rows(",\n    %r", (column,))
+    yield "[" + next(items)[1:]
+    yield from items
+    yield "\n  ]"
+
+
+def emit_pattern_json(payload, echo: str) -> Iterator[str]:
+    """json.dumps of the document with sort_keys=True, indent=2, written out by hand.
+
+    The four keys are fixed, so they are written in sorted order; a
+    finite int or float prints as its repr in JSON.
+    """
     xs, probs = _pattern_columns(payload)
-    document = {
-        "config": json.loads(echo),
-        "index_or_x": xs.tolist(),
-        "probability": probs.tolist(),
-        "condition": payload["condition"],
-    }
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n",)
+    config = json.dumps(json.loads(echo), sort_keys=True, indent=2).replace("\n", "\n  ")
+    return itertools.chain(
+        (f'{{\n  "condition": {json.dumps(payload["condition"])},\n'
+         f'  "config": {config},\n  "index_or_x": ',),
+        _json_array(xs),
+        (',\n  "probability": ',),
+        _json_array(probs),
+        ("\n}\n",),
+    )
 
 
 def emit_pattern_svg(payload, echo: str) -> tuple[str]:
@@ -479,11 +514,9 @@ def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
 
 
 def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
-    lines = [f"# config: {echo}", "row,col,probability"]
-    for row_label, row in zip(table.row_labels, table.probabilities.tolist()):
-        for col_label, p in zip(table.col_labels, row):
-            lines.append(f"{row_label},{col_label},{FLOAT_FMT.format(p)}")
-    return ("\n".join(lines) + "\n",)
+    cells = np.array([f"{r},{c}" for r in table.row_labels for c in table.col_labels])
+    rows = _rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
+    return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]),)
 
 
 def emit_event_log(rows: Iterable[str], echo: str) -> Iterator[str]:

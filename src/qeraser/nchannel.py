@@ -217,6 +217,11 @@ def conditioned_distribution(state: core.PureState, marker_state) -> DetectorDis
     return DetectorDistribution(residual.system_probabilities(), label)
 
 
+#: The theta = 0 erasure pair's vectors, against which delayed_marker_state
+#: reports fidelities; built once, as they never change.
+_DPLUS, _DMINUS = (state.vector for state in erasure_basis(0.0))
+
+
 class DelayedMarker(NamedTuple):
     """Marker state inferred from one detection in the delayed mode."""
 
@@ -244,10 +249,9 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
     p = float(np.real(np.vdot(conditional, conditional))) ** 2
     if abs(p - 1.0) > core.ATOL:
         raise InvariantError(f"conditional marker of a pure state has purity {p!r}")
-    basis = erasure_basis(0.0)
     return DelayedMarker(
         MarkerState.from_vector(conditional, f"detector{detector_j}"),
         p,
-        core.overlap_fidelity(conditional, basis.plus.vector),
-        core.overlap_fidelity(conditional, basis.minus.vector),
+        core.overlap_fidelity(conditional, _DPLUS),
+        core.overlap_fidelity(conditional, _DMINUS),
     )

@@ -2,14 +2,19 @@
 
 Everything here is written with scalar math/cmath loops on purpose: the
 computations share no code path with the vectorized implementation under
-test, so agreement is evidence rather than tautology.
+test, so agreement is evidence rather than tautology. The reference
+emitters at the end format one row or point per call, with str.format,
+f-strings and json.dumps, where the package formats whole chunks with `%`.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 from scipy.stats import chi2
+
+from qeraser import _svg
 
 
 def bare_channel_probs(thetas, phis):
@@ -76,3 +81,46 @@ def chi_square_pass(probabilities, observed_counts, quantile=0.999, pool_below=5
     obs, exp = np.asarray(obs), np.asarray(exp)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     return statistic < float(chi2.ppf(quantile, len(exp) - 1))
+
+
+def pattern_csv(payload, echo):
+    """Pattern CSV text, one str.format call per row."""
+    xs, probs = np.asarray(payload["x"]), np.asarray(payload["p"], dtype=np.float64)
+    condition = payload["condition"]
+    header = "index_or_x,probability"
+    row = ("{}," if xs.dtype.kind in "iu" else "{:.17g},") + "{:.17g}"
+    if condition != "none":
+        header += ",condition"
+        row += "," + condition.replace("{", "{{").replace("}", "}}")
+    lines = [f"# config: {echo}", header]
+    lines.extend(map(row.format, xs.tolist(), probs.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def pattern_json(payload, echo):
+    """Pattern JSON text, by the standard library's encoder."""
+    document = {
+        "config": json.loads(echo),
+        "index_or_x": np.asarray(payload["x"]).tolist(),
+        "probability": np.asarray(payload["p"], dtype=np.float64).tolist(),
+        "condition": payload["condition"],
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def line_chart_points(xs, ys):
+    """SVG polyline points, each point scaled and formatted on its own.
+
+    Only the layout constants are the package's; a constant coordinate maps
+    to the low edge of its axis.
+    """
+    xs, ys = np.asarray(xs).tolist(), np.asarray(ys).tolist()
+    x_lo, x_hi = min(xs), max(xs)
+    y_hi = max(max(ys), 1e-300)
+    y0 = _svg.MARGIN_TOP + _svg.PLOT_H
+    points = []
+    for x, y in zip(xs, ys):
+        px = _svg.MARGIN_LEFT + (0.0 if x_hi == x_lo else (x - x_lo) / (x_hi - x_lo) * _svg.PLOT_W)
+        py = y0 - (y - 0.0) / (y_hi - 0.0) * _svg.PLOT_H
+        points.append(f"{px:.6g},{py:.6g}")
+    return " ".join(points)

@@ -7,11 +7,16 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qeraser import analysis, cli
+import oracles
+from qeraser import _svg, analysis, cli
+from qeraser.errors import ValidationError
 
 
 def run_cli(args, capsys):
@@ -318,9 +323,8 @@ class TestSample:
         assert code == 3
 
 
-def sample_peak_rss_kib(tmp_path, count: int) -> int:
-    """Peak RSS (ru_maxrss, KiB) of a `sample --count count -o <file>` process."""
-    argv = ["sample", "--count", str(count), "-o", str(tmp_path / "events.csv")]
+def peak_rss_kib(tmp_path, argv) -> int:
+    """Peak RSS (ru_maxrss, KiB) of a `qeraser *argv` process, which must exit 0."""
     with open(tmp_path / "stderr.txt", "w") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "qeraser.cli", *argv],
@@ -329,8 +333,14 @@ def sample_peak_rss_kib(tmp_path, count: int) -> int:
         _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
-    assert len((tmp_path / "events.csv").read_text().splitlines()) == count + 2
     return usage.ru_maxrss
+
+
+def sample_peak_rss_kib(tmp_path, count: int) -> int:
+    """Peak RSS (ru_maxrss, KiB) of a `sample --count count -o <file>` process."""
+    rss = peak_rss_kib(tmp_path, ["sample", "--count", str(count), "-o", str(tmp_path / "events.csv")])
+    assert len((tmp_path / "events.csv").read_text().splitlines()) == count + 2
+    return rss
 
 
 class FullDisk(io.TextIOWrapper):
@@ -375,6 +385,107 @@ class TestStreamedLog:
         # The partial file holds what was written before the error: the config line.
         assert out.read_text().startswith("# config: ")
         assert out.read_text().count("\n") == 1
+
+
+WIDE_SCREEN = [
+    "twoslit", "--preset", "custom", "--d", "2", "--wavelength", "1", "--L", "1000",
+    "--x-min=-2000", "--x-max", "2000",
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Config echoes as cli._config_echo writes them: sorted keys, nested values.
+ECHOES = st.dictionaries(
+    st.text(max_size=5),
+    st.one_of(FINITE, st.integers(), st.text(max_size=5), st.lists(FINITE, max_size=3), st.just({})),
+    max_size=4,
+).map(lambda parameters: json.dumps({"kind": "twoslit", "parameters": parameters}, sort_keys=True))
+
+
+def joined(chunks) -> str:
+    chunks = list(chunks)
+    assert all(chunks)
+    return "".join(chunks)
+
+
+class TestStreamedPatterns:
+    """Pattern CSV and JSON are formatted chunk by chunk, byte-equal to one-row-per-call formatting."""
+
+    @given(
+        columns=st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.one_of(
+                    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+                    st.lists(FINITE, min_size=n, max_size=n),
+                ),
+                st.lists(FINITE, min_size=n, max_size=n),
+            )
+        ),
+        condition=st.one_of(st.sampled_from(["none", "d1", "dplus[theta=0.5]"]), st.text()),
+        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK, "above count"]),
+        echo=ECHOES,
+    )
+    @example(columns=([1, 2, 3], [0.5, 0.25, 0.25]), condition="50% {x} ü", chunk=1, echo="{}")
+    @example(columns=([-0.0, 1e-310], [0.0, 1.0]), condition="%s %% %(a)d", chunk=7, echo="{}")
+    def test_chunks_join_to_the_reference_text(self, columns, condition, chunk, echo):
+        xs, ps = columns
+        payload = {"x": xs, "p": ps, "condition": condition}
+        size = len(xs) + 1 if chunk == "above count" else chunk
+        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+            csv = joined(cli.emit_pattern_csv(payload, echo))
+            doc = joined(cli.emit_pattern_json(payload, echo))
+        assert csv == oracles.pattern_csv(payload, echo)
+        assert doc == oracles.pattern_json(payload, echo)
+
+    def test_rows_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_EVENT_CHUNK", 7)
+        payload = {"x": list(range(1, 16)), "p": [1 / 15] * 15, "condition": "none"}
+        chunks = list(cli.emit_pattern_csv(payload, "{}"))
+        assert [chunk.count("\n") for chunk in chunks] == [2, 7, 7, 1]
+
+    @given(
+        points=st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.one_of(
+                    st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+                    st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
+                ),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            )
+        ),
+    )
+    @example(points=([3.5, 3.5, 3.5], [0.2, 0.5, 0.3]))  # constant xs: hi == lo
+    @example(points=([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]))
+    @example(points=([7], [0.0]))
+    def test_line_chart_points_equal_the_per_point_reference(self, points):
+        xs, ys = points
+        chart = _svg.line_chart(xs, ys, "t <&>", "x", "probability", "config: {}")
+        assert chart.count("<polyline ") == 1
+        assert f'<polyline points="{oracles.line_chart_points(xs, ys)}" ' in chart
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            ([0.0, math.inf], [0.5, 0.5]),
+            ([0.0, math.nan], [0.5, 0.5]),
+            ([1, 2], [math.nan, 1.0]),
+            ([1, 2], [0.5, math.inf]),
+            (["a", "b"], [0.5, 0.5]),
+        ],
+    )
+    def test_bad_columns_raise_before_any_chunk(self, x, p):
+        payload = {"x": x, "p": p, "condition": "none",
+                   "x_label": "x", "title": "t", "chart": "line"}
+        for emit in (cli.emit_pattern_csv, cli.emit_pattern_json, cli.emit_pattern_svg):
+            with pytest.raises(ValidationError):
+                emit(payload, "{}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_grows_little_with_bins(self, tmp_path, fmt):
+        def rss(bins):
+            argv = WIDE_SCREEN + ["--bins", str(bins), "--format", fmt, "-o", os.devnull]
+            return peak_rss_kib(tmp_path, argv)
+
+        small, large = rss(100_000), rss(1_000_000)
+        assert large - small <= 140 * 1024, (small, large)
 
 
 class TestConfigHandling:

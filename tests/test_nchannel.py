@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bare_channel_probs, joint_channel_probs, marked_channel_probs
-from qeraser import analysis, core
+from qeraser import analysis, core, marker, nchannel
 from qeraser.errors import (
     IndexOutOfRangeError,
     InvalidConfigError,
@@ -268,6 +268,24 @@ class TestDelayedMode:
             assert result.fidelity_dminus == pytest.approx(
                 core.fidelity_pure(rho, minus.vector), abs=1e-12
             )
+
+    def test_erasure_pair_is_not_rebuilt_per_detector(self):
+        state = final_state_marked(random_config(12, 3))
+        plus, minus = erasure_basis(0.0)
+        calls = []
+
+        def counting(theta):
+            calls.append(theta)
+            return erasure_basis(theta)
+
+        with mock.patch.object(nchannel, "erasure_basis", counting), \
+                mock.patch.object(marker, "erasure_basis", counting):
+            results = [delayed_marker_state(state, j) for j in range(1, 13)]
+        assert calls == []
+        for j, result in enumerate(results, 1):
+            conditional, _ = core.project_system(state, j - 1)
+            assert result.fidelity_dplus == core.overlap_fidelity(conditional, plus.vector)
+            assert result.fidelity_dminus == core.overlap_fidelity(conditional, minus.vector)
 
     def test_detector_index_is_one_based(self):
         state = final_state_marked(default_config(4))
