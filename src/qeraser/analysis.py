@@ -79,6 +79,10 @@ def joint_distribution(
     numbers); the default is the 0-based outcome index. marker_basis is a
     pair of orthogonal MarkerStates, such as erasure_basis(theta) or
     which_path_basis().
+
+    Without system_labels, while a caller holds a table, a call with the
+    same state and order and a basis of equal vectors and labels returns
+    that same immutable table instead of computing it again.
     """
     if order not in ORDERS:
         raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
@@ -86,12 +90,18 @@ def joint_distribution(
     if abs(first.overlap(second)) > core.ATOL:
         raise ValidationError("marker basis states must be orthogonal")
     if system_labels is None:
-        system_labels = tuple(range(state.system_dim))
-    else:
-        system_labels = tuple(system_labels)
-        if len(system_labels) != state.system_dim:
-            raise DimensionMismatchError("system_labels must cover every system outcome")
+        # Keyed on the order as well: the two orderings stay two computations.
+        key = (order, first.vector.tobytes(), second.vector.tobytes(), first.label, second.label)
+        return core._memo(
+            state, key, lambda: _joint_table(state, first, second, order, range(state.system_dim))
+        )
+    system_labels = tuple(system_labels)
+    if len(system_labels) != state.system_dim:
+        raise DimensionMismatchError("system_labels must cover every system outcome")
+    return _joint_table(state, first, second, order, system_labels)
 
+
+def _joint_table(state, first, second, order, system_labels) -> JointTable:
     if order == MARKER_FIRST:
         table = np.zeros((state.system_dim, 2))
         for col, element in enumerate((first, second)):
@@ -108,7 +118,10 @@ def joint_distribution(
 
 
 def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
-    """Largest entrywise gap between the two measurement orderings."""
+    """Largest entrywise gap between the two measurement orderings.
+
+    Tables the caller still holds for this state and basis are reused.
+    """
     first = joint_distribution(state, marker_basis, MARKER_FIRST)
     second = joint_distribution(state, marker_basis, SYSTEM_FIRST)
     return float(np.max(np.abs(first.probabilities - second.probabilities)))
@@ -117,7 +130,9 @@ def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
 def mutual_information(table: JointTable) -> float:
     """Mutual information of a joint table in bits, with 0 log 0 = 0."""
     probs = table.probabilities
-    marginals = np.outer(probs.sum(axis=1), probs.sum(axis=0))
+    # Column sums on the usual two marker columns: np.sum's bytes, faster.
+    rows = probs[:, 0] + probs[:, 1] if probs.shape[1] == 2 else probs.sum(axis=1)
+    marginals = np.outer(rows, probs.sum(axis=0))
     live = probs > 0.0
     return float(np.sum(probs[live] * np.log2(probs[live] / marginals[live])))
 

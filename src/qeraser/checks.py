@@ -79,6 +79,8 @@ def _screen_definiteness() -> float:
 
 def _complementarity() -> float:
     grid = twoslit.default_grid()
+    # Held for the whole check, so every pattern below reuses this one state.
+    screen = twoslit.marked_state(grid)
     washed = twoslit.pattern_marked_unconditioned(grid).probabilities
     worst = 0.0
     for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
@@ -86,6 +88,7 @@ def _complementarity() -> float:
         minus, p_minus = twoslit.pattern_conditioned(grid, float(theta), "minus")
         mixed = p_plus * plus.probabilities + p_minus * minus.probabilities
         worst = max(worst, float(np.max(np.abs(mixed - washed))))
+    del screen
     return worst
 
 

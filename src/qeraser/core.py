@@ -14,6 +14,7 @@ after the corresponding assertion has passed.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,7 @@ class PureState:
     normalization: float = 1.0
 
     def __post_init__(self):
-        if self.system_dim < 1:
-            raise DimensionMismatchError("system dimension must be >= 1")
-        if self.marker_dim not in (1, 2):
-            raise DimensionMismatchError("marker dimension must be 1 or 2")
+        _check_dims(self.system_dim, self.marker_dim)
         vec = _unit_vector(self.amplitudes, self.system_dim * self.marker_dim, "state").copy()
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
@@ -148,8 +146,56 @@ class PureState:
 
     def system_probabilities(self) -> np.ndarray:
         """Probability of each system outcome, marker summed over."""
-        table = self.amplitudes.reshape(self.system_dim, self.marker_dim)
-        return np.sum(np.abs(table) ** 2, axis=1)
+        sq = np.abs(self.amplitudes.reshape(self.system_dim, self.marker_dim)) ** 2
+        # Column sums: the bytes of np.sum(sq, axis=1), without a reduction per row.
+        return sq[:, 0] + sq[:, 1] if self.marker_dim == 2 else sq[:, 0]
+
+
+def _check_dims(system_dim: int, marker_dim: int) -> None:
+    if system_dim < 1:
+        raise DimensionMismatchError("system dimension must be >= 1")
+    if marker_dim not in (1, 2):
+        raise DimensionMismatchError("marker dimension must be 1 or 2")
+
+
+def _normalized_state(
+    system_dim: int, marker_dim: int, unit: np.ndarray, normalization: float = 1.0
+) -> PureState:
+    """PureState around `unit`, a fresh vector of length system_dim *
+    marker_dim that _exactly_normalized returned.
+
+    Makes PureState's dimension checks but not its vector check, which
+    _exactly_normalized has made with the same exact sum: the vector is
+    neither summed a second time nor copied.
+    """
+    _check_dims(system_dim, marker_dim)
+    unit.setflags(write=False)
+    state = object.__new__(PureState)
+    state.__dict__.update(
+        system_dim=system_dim, marker_dim=marker_dim, amplitudes=unit, normalization=normalization
+    )
+    return state
+
+
+# Values derived from an immutable owner (a PureState or ScreenGrid, both
+# hashed by identity), kept only while something else holds them.
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo(owner, key, build):
+    """build(), or the value an earlier call with the same owner and key
+    returned, while that value is still held elsewhere.
+
+    The memo holds owners and values weakly, so it keeps nothing alive.
+    build must be a pure function of the owner and key.
+    """
+    derived = _DERIVED.get(owner)
+    if derived is None:
+        derived = _DERIVED[owner] = weakref.WeakValueDictionary()
+    value = derived.get(key)
+    if value is None:
+        value = derived[key] = build()
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +230,15 @@ def _exactly_normalized(unit: np.ndarray) -> tuple[np.ndarray, float]:
     On one BLAS thread a BLAS norm or dot product can miss the exact
     squared norm by more than ATOL from ~6 x 10^5 amplitudes. scale is the
     exact norm when the exact squared norm misses 1 by more than ATOL / 2,
-    and 1.0 otherwise, so that every other vector keeps its bytes.
+    and 1.0 otherwise, so that every other vector keeps its bytes. The
+    result passes PureState's state check: a NaN or infinity fails the
+    first test, and a rescaled vector is checked in full.
     """
     sq_norm = _squared_norm(unit)
     if abs(sq_norm - 1.0) <= ATOL / 2:
         return unit, 1.0
     scale = math.sqrt(sq_norm)
-    return unit / scale, scale
+    return _unit_vector(unit / scale, None, "state"), scale
 
 
 def make_state(dims: tuple[int, int], amplitudes) -> PureState:
@@ -206,7 +254,7 @@ def make_state(dims: tuple[int, int], amplitudes) -> PureState:
     if norm == 0.0:
         raise ZeroNormError("cannot normalize the zero vector")
     unit, scale = _exactly_normalized(vec / norm)
-    return PureState(system_dim, marker_dim, unit, normalization=norm * scale)
+    return _normalized_state(system_dim, marker_dim, unit, norm * scale)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -253,7 +301,7 @@ def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
     partial = state.amplitudes.reshape(state.system_dim, 2) @ mv.conj()
     residual, probability = condition_block(partial, "marker projection")
     residual, _ = _exactly_normalized(residual)
-    return PureState(state.system_dim, 1, residual), probability
+    return _normalized_state(state.system_dim, 1, residual), probability
 
 
 def condition_block(block: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -301,8 +349,9 @@ def condition_on_system(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     parts = state.amplitudes.view(np.float64).reshape(state.system_dim, 4)
     probabilities = np.einsum("ij,ij->i", parts, parts)
     live = probabilities >= ZERO_PROBABILITY
-    conditionals = np.zeros_like(table)
-    np.divide(table, np.sqrt(probabilities)[:, None], out=conditionals, where=live[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditionals = table / np.sqrt(probabilities)[:, None]
+    conditionals[~live] = 0.0
     _checked_probability(float(np.max(probabilities)), "system outcome probability")
     weights = np.where(live, np.minimum(probabilities, 1.0), 0.0)
     return weights, conditionals

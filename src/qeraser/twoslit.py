@@ -186,16 +186,25 @@ def bare_state(grid: ScreenGrid) -> core.PureState:
 def _marked_amplitudes(grid: ScreenGrid, bins=slice(None)) -> np.ndarray:
     """(len(bins), 2) table psi sqrt(dx) e^{+-i theta_x} / sqrt(2) of some bins."""
     scale = grid.envelope[bins] * math.sqrt(grid.dx) / math.sqrt(2.0)
-    theta_x = grid.theta_x[bins]
     table = np.empty((scale.size, 2), dtype=np.complex128)
-    table[:, 0] = scale * np.exp(1j * theta_x)
-    table[:, 1] = scale * np.exp(-1j * theta_x)
+    # One complex exp, written in place: e^{-i theta} is its conjugate.
+    np.exp(1j * grid.theta_x[bins], out=table[:, 0])
+    np.conjugate(table[:, 0], out=table[:, 1])
+    table *= scale[:, None]
     return table
 
 
 def marked_state(grid: ScreenGrid) -> core.PureState:
-    """Screen (x) marker state: psi sqrt(dx) e^{+-i theta_x} / sqrt(2) per bin."""
-    return core.make_state((grid.bins, 2), _marked_amplitudes(grid).reshape(-1))
+    """Screen (x) marker state: psi sqrt(dx) e^{+-i theta_x} / sqrt(2) per bin.
+
+    While a caller holds the state, a call with the same grid returns that
+    same immutable object instead of building it again.
+    """
+    return core._memo(
+        grid,
+        "marked_state",
+        lambda: core.make_state((grid.bins, 2), _marked_amplitudes(grid).reshape(-1)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,6 +62,20 @@ def conditioned_screen_joint(positions, envelope, dx, d, wavelength, L, theta, s
     return out
 
 
+def marked_screen_amplitudes(envelope, theta_x, dx):
+    """(bins, 2) table psi sqrt(dx) e^{+-i theta_x} / sqrt(2), by two complex exps.
+
+    The package takes one exp and its conjugate, written in place; this is
+    the formula it used before, one exp per sign.
+    """
+    scale = np.asarray(envelope) * math.sqrt(dx) / math.sqrt(2.0)
+    theta_x = np.asarray(theta_x)
+    table = np.empty((scale.size, 2), dtype=np.complex128)
+    table[:, 0] = scale * np.exp(1j * theta_x)
+    table[:, 1] = scale * np.exp(-1j * theta_x)
+    return table
+
+
 def chi_square_pass(probabilities, observed_counts, quantile=0.999, pool_below=5.0):
     """Goodness-of-fit accept/reject with small-expectation cells pooled.
 
