@@ -26,7 +26,15 @@ class CheckResult(NamedTuple):
         return self.residual <= self.tolerance
 
 
-def _bright_dark() -> float:
+class _Inputs(NamedTuple):
+    """The states and grid several checks share, built once per run."""
+
+    marked: dict[int, core.PureState]  # final_state_marked(default_config(n)), n = 2, 4, 6, 10
+    grid: twoslit.ScreenGrid  # default_grid()
+    screen: core.PureState  # marked_state(grid); held, so every pattern reuses it
+
+
+def _bright_dark(inputs: _Inputs) -> float:
     dist = nchannel.detector_probabilities(
         nchannel.final_state_bare(nchannel.default_config(10))
     )
@@ -34,18 +42,16 @@ def _bright_dark() -> float:
     return float(np.max(np.abs(dist.probabilities - expected)))
 
 
-def _marked_uniform() -> float:
+def _marked_uniform(inputs: _Inputs) -> float:
     worst = 0.0
-    for n in (2, 4, 6, 10):
-        dist = nchannel.detector_probabilities(
-            nchannel.final_state_marked(nchannel.default_config(n))
-        )
+    for n, state in inputs.marked.items():
+        dist = nchannel.detector_probabilities(state)
         worst = max(worst, float(np.max(np.abs(dist.probabilities - 1.0 / n))))
     return worst
 
 
-def _eraser_recovery() -> float:
-    state = nchannel.final_state_marked(nchannel.default_config(10))
+def _eraser_recovery(inputs: _Inputs) -> float:
+    state = inputs.marked[10]
     basis = erasure_basis(0.0)
     plus = nchannel.conditioned_distribution(state, basis.plus).probabilities
     minus = nchannel.conditioned_distribution(state, basis.minus).probabilities
@@ -56,8 +62,8 @@ def _eraser_recovery() -> float:
     )
 
 
-def _delayed_definiteness() -> float:
-    state = nchannel.final_state_marked(nchannel.default_config(10))
+def _delayed_definiteness(inputs: _Inputs) -> float:
+    state = inputs.marked[10]
     worst = 0.0
     for j in range(1, 11):
         result = nchannel.delayed_marker_state(state, j)
@@ -66,21 +72,20 @@ def _delayed_definiteness() -> float:
     return worst
 
 
-def _screen_definiteness() -> float:
-    grid = twoslit.default_grid()
-    weights, conditionals = core.condition_on_system(twoslit.marked_state(grid))
+def _screen_definiteness(inputs: _Inputs) -> float:
+    grid = inputs.grid
+    weights, conditionals = core.condition_on_system(inputs.screen)
     # plus(theta_x) for every bin, as marker.erasure_basis builds it.
     cos, sin = np.cos(grid.theta_x), np.sin(grid.theta_x)
     targets = np.stack([cos + 1j * sin, cos - 1j * sin], axis=1) * SQRT_HALF
     overlaps = np.einsum("ij,ij->i", targets.conj(), conditionals)
-    fidelity = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
+    # Not clipped: a fidelity above one is a fault, and must show as a residual.
+    fidelity = np.abs(overlaps) ** 2
     return float(np.max(np.abs(fidelity[weights > 0.0] - 1.0)))
 
 
-def _complementarity() -> float:
-    grid = twoslit.default_grid()
-    # Held for the whole check, so every pattern below reuses this one state.
-    screen = twoslit.marked_state(grid)
+def _complementarity(inputs: _Inputs) -> float:
+    grid = inputs.grid
     washed = twoslit.pattern_marked_unconditioned(grid).probabilities
     worst = 0.0
     for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
@@ -88,14 +93,12 @@ def _complementarity() -> float:
         minus, p_minus = twoslit.pattern_conditioned(grid, float(theta), "minus")
         mixed = p_plus * plus.probabilities + p_minus * minus.probabilities
         worst = max(worst, float(np.max(np.abs(mixed - washed))))
-    del screen
     return worst
 
 
-def _ordering_invariance() -> float:
+def _ordering_invariance(inputs: _Inputs) -> float:
     worst = 0.0
-    for n in (2, 4, 6, 10):
-        state = nchannel.final_state_marked(nchannel.default_config(n))
+    for state in inputs.marked.values():
         for theta in np.linspace(0.0, math.pi, 8, endpoint=False):
             worst = max(
                 worst,
@@ -104,13 +107,12 @@ def _ordering_invariance() -> float:
         worst = max(
             worst, analysis.ordering_invariance_residual(state, which_path_basis())
         )
-    screen = twoslit.marked_state(twoslit.default_grid())
-    worst = max(worst, analysis.ordering_invariance_residual(screen, erasure_basis(0.7)))
+    worst = max(worst, analysis.ordering_invariance_residual(inputs.screen, erasure_basis(0.7)))
     worst = max(worst, analysis.ordering_invariance_residual(analysis.epr_state(), which_path_basis()))
     return worst
 
 
-def _spin_pair_tables() -> float:
+def _spin_pair_tables(inputs: _Inputs) -> float:
     same = np.diag([0.5, 0.5])
     crossed = np.full((2, 2), 0.25)
     worst = 0.0
@@ -121,8 +123,8 @@ def _spin_pair_tables() -> float:
     return worst
 
 
-def _fringe_width() -> float:
-    grid = twoslit.default_grid()
+def _fringe_width(inputs: _Inputs) -> float:
+    grid = inputs.grid
     pattern, _ = twoslit.pattern_conditioned(grid, 0.0, "plus")
     probs = pattern.probabilities
     peaks = [
@@ -134,7 +136,7 @@ def _fringe_width() -> float:
     return float(np.max(np.abs(spacings - grid.geometry.fringe_width)))
 
 
-_CHECKS: list[tuple[str, Callable[[], float], float]] = [
+_CHECKS: list[tuple[str, Callable[[_Inputs], float], float]] = [
     ("bright/dark channels (n=10 bare)", _bright_dark, core.ATOL),
     ("marker washes interference (uniform 1/n)", _marked_uniform, core.ATOL),
     ("eraser recovery (odd/even split)", _eraser_recovery, core.ATOL),
@@ -149,4 +151,7 @@ _CHECKS: list[tuple[str, Callable[[], float], float]] = [
 
 def run_checks() -> list[CheckResult]:
     """Run every registered invariant check and collect the residuals."""
-    return [CheckResult(name, fn(), tol) for name, fn, tol in _CHECKS]
+    grid = twoslit.default_grid()
+    marked = {n: nchannel.final_state_marked(nchannel.default_config(n)) for n in (2, 4, 6, 10)}
+    inputs = _Inputs(marked, grid, twoslit.marked_state(grid))
+    return [CheckResult(name, fn(inputs), tol) for name, fn, tol in _CHECKS]

@@ -422,9 +422,9 @@ SCENARIOS = {
 # -- emitters -----------------------------------------------------------------
 #
 # Each emitter checks its input when called and returns the artifact as an
-# iterable of text chunks. The pattern CSV and JSON and the event log are
+# iterable of text chunks. Patterns (csv, json, svg) and the event log are
 # formatted as main writes them, analysis._EVENT_CHUNK rows at a time, with
-# one `%` per chunk; the SVG and the joint tables are one chunk each.
+# one `%` per chunk (`_svg._rows` for patterns); joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -444,18 +444,6 @@ def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
     return xs, probs
 
 
-def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """`row % (c[i] for c in columns)` for each i, as analysis._EVENT_CHUNK rows per chunk."""
-    size = analysis._EVENT_CHUNK
-    width = len(columns)
-    for start in range(0, len(columns[0]), size):
-        parts = [column[start : start + size].tolist() for column in columns]
-        flat = [None] * (width * len(parts[0]))
-        for offset, part in enumerate(parts):
-            flat[offset::width] = part
-        yield (row * len(parts[0])) % tuple(flat)
-
-
 def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     """CSV with columns index_or_x,probability[,condition] at 17 digits."""
     xs, probs = _pattern_columns(payload)
@@ -465,12 +453,13 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     if condition != "none":
         header += ",condition"
         row += "," + condition.replace("%", "%%")
-    return itertools.chain((f"# config: {echo}\n{header}\n",), _rows(row + "\n", (xs, probs)))
+    rows = _svg._rows(row + "\n", (xs, probs))
+    return itertools.chain((f"# config: {echo}\n{header}\n",), rows)
 
 
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
-    items = _rows(",\n    %r", (column,))
+    items = _svg._rows(",\n    %r", (column,))
     yield "[" + next(items)[1:]
     yield from items
     yield "\n  ]"
@@ -494,13 +483,11 @@ def emit_pattern_json(payload, echo: str) -> Iterator[str]:
     )
 
 
-def emit_pattern_svg(payload, echo: str) -> tuple[str]:
+def emit_pattern_svg(payload, echo: str) -> Iterator[str]:
     _, probs = _pattern_columns(payload)
     chart = _svg.bar_chart if payload["chart"] == "bar" else _svg.line_chart
     comment = f"config: {echo}"
-    return (
-        chart(payload["x"], probs, payload["title"], payload["x_label"], "probability", comment),
-    )
+    return chart(payload["x"], probs, payload["title"], payload["x_label"], "probability", comment)
 
 
 def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
@@ -515,7 +502,7 @@ def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
 
 def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
     cells = np.array([f"{r},{c}" for r in table.row_labels for c in table.col_labels])
-    rows = _rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
+    rows = _svg._rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
     return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]),)
 
 

@@ -10,6 +10,7 @@ f-strings and json.dumps, where the package formats whole chunks with `%`.
 import cmath
 import json
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy.stats import chi2
@@ -138,3 +139,27 @@ def line_chart_points(xs, ys):
         py = y0 - (y - 0.0) / (y_hi - 0.0) * _svg.PLOT_H
         points.append(f"{px:.6g},{py:.6g}")
     return " ".join(points)
+
+
+def bar_chart_marks(labels, values):
+    """SVG bar chart marks, one `<rect>` and one `<text>` f-string per detector.
+
+    Each height is scaled on its own; only the layout constants are the
+    package's.
+    """
+    labels, values = np.asarray(labels).tolist(), np.asarray(values).tolist()
+    y_hi = max(max(values), 1e-300)
+    y0 = _svg.MARGIN_TOP + _svg.PLOT_H
+    slot = _svg.PLOT_W / len(values)
+    width = slot * 0.7
+    marks = []
+    for i, (label, value) in enumerate(zip(labels, values)):
+        height = (value - 0.0) / (y_hi - 0.0) * _svg.PLOT_H
+        x = _svg.MARGIN_LEFT + i * slot + (slot - width) / 2
+        marks.append(
+            f'<rect x="{x:.6g}" y="{y0 - height:.6g}" width="{width:.6g}" '
+            f'height="{height:.6g}" fill="#1f6fb2"/>\n'
+            f'<text x="{x + width / 2:.6g}" y="{y0 + 34}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10">{escape(str(label))}</text>\n'
+        )
+    return "".join(marks)

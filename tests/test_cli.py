@@ -6,8 +6,10 @@ import os
 import stat
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from qeraser import _svg, analysis, cli
+from qeraser import _svg, analysis, checks, cli, core, twoslit
 from qeraser.errors import ValidationError
 
 
@@ -407,7 +409,7 @@ def joined(chunks) -> str:
 
 
 class TestStreamedPatterns:
-    """Pattern CSV and JSON are formatted chunk by chunk, byte-equal to one-row-per-call formatting."""
+    """Patterns are formatted chunk by chunk, byte-equal to one-row-per-call formatting."""
 
     @given(
         columns=st.integers(1, 40).flatmap(
@@ -457,9 +459,46 @@ class TestStreamedPatterns:
     @example(points=([7], [0.0]))
     def test_line_chart_points_equal_the_per_point_reference(self, points):
         xs, ys = points
-        chart = _svg.line_chart(xs, ys, "t <&>", "x", "probability", "config: {}")
+        chart = "".join(_svg.line_chart(xs, ys, "t <&>", "x", "probability", "config: {}"))
         assert chart.count("<polyline ") == 1
         assert f'<polyline points="{oracles.line_chart_points(xs, ys)}" ' in chart
+
+    @given(
+        bars=st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            )
+        ),
+        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK, "above count"]),
+    )
+    @example(bars=(list(range(1, 11)), [0.2, 0.0] * 5), chunk=7)
+    @example(bars=([1, 2, 3], [0.0, 0.0, 0.0]), chunk=1)
+    @example(bars=([5], [5e-324]), chunk="above count")
+    def test_bar_chart_marks_equal_the_per_detector_reference(self, bars, chunk):
+        labels, values = bars
+        size = len(values) + 1 if chunk == "above count" else chunk
+        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+            chart = joined(_svg.bar_chart(labels, values, "t <&>", "x", "probability", "{}"))
+        marks = oracles.bar_chart_marks(labels, values)
+        assert chart.endswith("\n" + marks + "</svg>\n")
+        assert chart.count("<rect ") == len(values) + 1  # the bars and the background
+
+    @given(st.text())
+    @example("a & b <c> &amp; ]]> \"'")
+    def test_escape_equals_saxutils(self, text):
+        assert _svg.escape(text) == escape(text)
+
+    def test_cli_import_skips_the_xml_and_network_modules(self):
+        script = (
+            "import sys, qeraser.cli\n"
+            "print([m for m in ('xml.sax.saxutils', 'urllib.request', 'ssl') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=one_blas_thread_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     @pytest.mark.parametrize(
         "x, p",
@@ -478,7 +517,7 @@ class TestStreamedPatterns:
             with pytest.raises(ValidationError):
                 emit(payload, "{}")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_peak_memory_grows_little_with_bins(self, tmp_path, fmt):
         def rss(bins):
             argv = WIDE_SCREEN + ["--bins", str(bins), "--format", fmt, "-o", os.devnull]
@@ -486,6 +525,14 @@ class TestStreamedPatterns:
 
         small, large = rss(100_000), rss(1_000_000)
         assert large - small <= 140 * 1024, (small, large)
+
+    def test_bar_chart_peak_memory_near_csv(self, tmp_path):
+        def rss(fmt):
+            argv = ["nchannel", "--n", "1000000", "--format", fmt, "-o", os.devnull]
+            return peak_rss_kib(tmp_path, argv)
+
+        csv, svg = rss("csv"), rss("svg")
+        assert svg <= 1.3 * csv, (csv, svg)
 
 
 class TestConfigHandling:
@@ -572,6 +619,24 @@ class TestCheck:
         assert code == 0
         assert "9/9 checks passed" in out
         assert "FAIL" not in out
+
+    def test_shared_inputs_are_built_once(self):
+        with mock.patch.object(twoslit, "build_grid", wraps=twoslit.build_grid) as build_grid:
+            checks.run_checks()
+        assert build_grid.call_count == 1
+
+    def test_over_unity_screen_fidelity_fails(self, monkeypatch):
+        condition = core.condition_on_system
+
+        def over_unity(state):
+            weights, conditionals = condition(state)
+            return weights, conditionals * (1 + 1e-9)
+
+        # Only checks sees the fault: the joint tables would reject it.
+        seen = types.SimpleNamespace(**{**vars(core), "condition_on_system": over_unity})
+        monkeypatch.setattr(checks, "core", seen)
+        results = {result.name: result for result in checks.run_checks()}
+        assert not results["delayed definiteness (screen)"].passed
 
 
 CUSTOM_SCREEN = {"preset": "custom", "d": 1, "wavelength": 0.5, "L": 100,
