@@ -149,8 +149,10 @@ class Scenario(NamedTuple):
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _ParseExit(f"config file {path}: {exc}") from None
+    except RecursionError:
+        raise _ParseExit(f"config file {path}: nested too deeply") from None
     if not isinstance(raw, dict):
         raise _ParseExit(f"config file {path}: expected a JSON object")
     allowed = {"kind", "parameters", "output", "output_path"}

@@ -288,35 +288,38 @@ def tensor(system: PureState, marker) -> PureState:
 def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
     """Project the marker onto a 2-component state.
 
-    Returns (residual system state, probability). The probability is the
-    squared norm of the unnormalized partial inner product and the
-    residual is that partial state renormalized by condition_block, with
-    make_state's exact-norm correction.
-    Raises NoMarkerError for marker-free states and ZeroProbabilityError
-    below ZERO_PROBABILITY.
+    Returns (residual system state, probability): the partial inner
+    product <m|psi> renormalized, with make_state's exact-norm correction,
+    and its squared norm as one BLAS vdot, apart from the system-first
+    formula. Raises NoMarkerError for marker-free states and
+    ZeroProbabilityError below ZERO_PROBABILITY.
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to project")
     mv = _unit_vector(marker_state, 2, "marker state")
     partial = state.amplitudes.reshape(state.system_dim, 2) @ mv.conj()
-    residual, probability = condition_block(partial, "marker projection")
-    residual, _ = _exactly_normalized(residual)
+    probability = float(np.real(np.vdot(partial, partial)))
+    if probability < ZERO_PROBABILITY:
+        raise ZeroProbabilityError(f"marker projection has probability {probability!r}")
+    residual, _ = _exactly_normalized(partial / np.sqrt(probability))
+    probability = _checked_probability(probability, "marker projection probability")
     return _normalized_state(state.system_dim, 1, residual), probability
 
 
-def condition_block(block: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Normalize an unnormalized conditional state.
+def _row_probability(re1, im1, re2, im2):
+    """|c1|^2 + |c2|^2 from four reals: equal bits on Python floats and float64 columns."""
+    return (re1 * re1 + re2 * re2) + (im1 * im1 + im2 * im2)
 
-    The block is the marker block of one system outcome, or the partial
-    inner product of a marker projection. Returns (normalized
-    conditional, squared norm of the block). `what` names the outcome in
-    errors. Raises ZeroProbabilityError when the block carries
-    probability below ZERO_PROBABILITY.
+
+def _condition_row(block: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(block / sqrt(p), p) for one marker block, as its row of condition_on_system.
+
+    `what` names the outcome in errors. Raises ZeroProbabilityError below ZERO_PROBABILITY.
     """
-    probability = float(np.real(np.vdot(block, block)))
+    probability = _row_probability(*block.view(np.float64).tolist())
     if probability < ZERO_PROBABILITY:
         raise ZeroProbabilityError(f"{what} has probability {probability!r}")
-    conditional = block / np.sqrt(probability)
+    conditional = block / math.sqrt(probability)
     return conditional, _checked_probability(probability, f"{what} probability")
 
 
@@ -324,30 +327,29 @@ def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, flo
     """Condition the marker on one system outcome (0-based index).
 
     Returns (normalized 2-component marker conditional, probability of the
-    outcome). Raises ZeroProbabilityError when the outcome carries
-    probability below ZERO_PROBABILITY.
+    outcome), row system_index of condition_on_system bit for bit. Raises
+    ZeroProbabilityError below ZERO_PROBABILITY.
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    return condition_block(state.marker_block(system_index), f"system outcome {system_index}")
+    return _condition_row(state.marker_block(system_index), f"system outcome {system_index}")
 
 
 def condition_on_system(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Condition the marker on every system outcome at once.
 
-    Returns (weights[S], conditionals[S, 2]): row s holds the probability
-    of system outcome s and the normalized marker state it leaves, as
-    project_system would return them. Zero-row rule: an outcome below
-    ZERO_PROBABILITY, for which project_system raises, gets weight 0 and
-    an all-zero conditional instead, so it drops out of any table built
-    as weights * |overlap|^2.
+    Returns (weights[S], conditionals[S, 2]): row s holds what
+    project_system(state, s) returns, bit for bit. Zero-row rule: an
+    outcome below ZERO_PROBABILITY, for which project_system raises, gets
+    weight 0 and an all-zero conditional instead, so it drops out of any
+    table built as weights * |overlap|^2.
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
     table = state.amplitudes.reshape(state.system_dim, 2)
     # Each row as 4 reals (re, im of both components): one sum of squares.
     parts = state.amplitudes.view(np.float64).reshape(state.system_dim, 4)
-    probabilities = np.einsum("ij,ij->i", parts, parts)
+    probabilities = _row_probability(*parts.T)
     live = probabilities >= ZERO_PROBABILITY
     with np.errstate(divide="ignore", invalid="ignore"):
         conditionals = table / np.sqrt(probabilities)[:, None]

@@ -102,7 +102,7 @@ def default_config(n: int) -> PhaseConfig:
     if n < 2 or n % 2 != 0:
         raise OddChannelCountError(f"alternating preset needs even n >= 2, got {n}")
     thetas = np.zeros(n)
-    phis = np.array([0.0 if j % 2 == 1 else math.pi for j in range(1, n + 1)])
+    phis = np.where(np.arange(n) % 2 == 0, 0.0, math.pi)
     return PhaseConfig(n, thetas, phis)
 
 
@@ -235,22 +235,22 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
     """Conditional marker state after detection at detector j (1-based).
 
     The conditional is read off with core.project_system. For a pure joint
-    state it is itself pure: its purity trace(rho^2) = <c|c>^2 is computed
-    and checked to be 1, with no density matrix built. Fidelities
-    |<d|c>|^2 against the theta = 0 erasure pair are reported alongside,
-    range-checked and clamped to [0, 1]. Raises ZeroProbabilityError for
-    detectors that never fire.
+    state it is itself pure: its purity <c|c>^2, from its two amplitudes,
+    is checked to be 1. Fidelities |<d|c>|^2 against the theta = 0 erasure
+    pair are reported alongside, range-checked and clamped to [0, 1].
+    Raises ZeroProbabilityError for detectors that never fire.
     """
     if not 1 <= detector_j <= state.system_dim:
         raise IndexOutOfRangeError(
             f"detector {detector_j} out of 1..{state.system_dim}"
         )
     conditional, _ = core.project_system(state, detector_j - 1)
-    p = float(np.real(np.vdot(conditional, conditional))) ** 2
+    c1, c2 = conditional.tolist()
+    p = (abs(c1) ** 2 + abs(c2) ** 2) ** 2
     if abs(p - 1.0) > core.ATOL:
         raise InvariantError(f"conditional marker of a pure state has purity {p!r}")
     return DelayedMarker(
-        MarkerState.from_vector(conditional, f"detector{detector_j}"),
+        MarkerState(c1, c2, f"detector{detector_j}"),
         p,
         core.overlap_fidelity(conditional, _DPLUS),
         core.overlap_fidelity(conditional, _DMINUS),

@@ -262,17 +262,17 @@ class ScreenMarker(NamedTuple):
 def delayed_marker_state_at(grid: ScreenGrid, bin_k: int) -> ScreenMarker:
     """Conditional marker state after a landing in bin k (0-based).
 
-    Only bin k's two amplitudes are built (the same formula as
-    marked_state, without the full screen state) and normalized with
-    core.condition_block. The conditional is exactly plus(theta_x) for the
-    bin's own theta_x; the reported fidelity against that state is 1 for
-    every bin with nonzero envelope. Raises ZeroProbabilityError where the
-    envelope vanishes.
+    Only bin k's two amplitudes are built (as in marked_state, without
+    the full screen state) and normalized as project_system normalizes a
+    row. The conditional is exactly plus(theta_x) for the bin's own
+    theta_x; the reported fidelity against it is 1 for every bin with
+    nonzero envelope. Raises ZeroProbabilityError where the envelope
+    vanishes.
     """
     if not 0 <= bin_k < grid.bins:
         raise IndexOutOfRangeError(f"bin {bin_k} out of 0..{grid.bins - 1}")
     block = _marked_amplitudes(grid, slice(bin_k, bin_k + 1))[0]
-    conditional, _ = core.condition_block(block, f"bin {bin_k}")
+    conditional, _ = core._condition_row(block, f"bin {bin_k}")
     theta_x = float(grid.theta_x[bin_k])
     target = erasure_basis(theta_x).plus
     return ScreenMarker(

@@ -723,6 +723,13 @@ ERROR_CONTRACT_CASES = {
     ),
 }
 
+# Config files that cannot be read as JSON at all end like malformed JSON:
+# name -> raw bytes of the file.
+UNREADABLE_CONFIG_CASES = {
+    "config-not-utf8": b"\xff\xfe{}",
+    "config-nested-too-deep": b"[" * 10**5 + b"]" * 10**5,
+}
+
 
 def assert_one_json_error(tmp_path, monkeypatch, capsys, argv, config):
     """Run argv; require exit 3, one JSON line on stderr, no output at all."""
@@ -751,6 +758,22 @@ class TestErrorContract:
     def test_bad_input_is_one_json_error(self, name, tmp_path, monkeypatch, capsys):
         argv, config = ERROR_CONTRACT_CASES[name]
         assert_one_json_error(tmp_path, monkeypatch, capsys, argv, config)
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIG_CASES))
+    def test_unreadable_config_is_one_parse_error(self, name, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(out_dir))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(UNREADABLE_CONFIG_CASES[name])
+        code, out, err = run_cli(["nchannel", "--config", "config.json"], capsys)
+        assert code == 2, err
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["exit_code"] == 2 and error["error"] == "_ParseExit"
+        assert "config.json" in error["message"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "kind, param",

@@ -36,6 +36,7 @@ from qeraser.errors import (
     ZeroProbabilityError,
 )
 from qeraser.marker import MarkerState, erasure_basis
+from qeraser.nchannel import default_config, delayed_marker_state, final_state_marked, random_config
 from qeraser.rng import SplitMix64
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -277,6 +278,43 @@ class TestConditionOnSystem:
         assert overlap_fidelity(vec, target) == pytest.approx(
             fidelity_pure(rho, target), abs=1e-12
         )
+
+
+def channel_states():
+    """Marked states of 1024-channel random configurations."""
+    return st.integers(0, 2**64 - 1).map(lambda seed: final_state_marked(random_config(1024, seed)))
+
+
+class TestOneRowFormula:
+    """project_system is row s of condition_on_system, bit for bit."""
+
+    @given(st.one_of(marked_states_with_dead_rows(), channel_states()))
+    @settings(max_examples=40, deadline=None)
+    def test_project_system_is_kernel_row(self, state):
+        weights, conditionals = condition_on_system(state)
+        for row in range(state.system_dim):
+            try:
+                conditional, weight = project_system(state, row)
+            except ZeroProbabilityError:
+                assert weights[row] == 0.0
+                continue
+            assert conditional.tobytes() == conditionals[row].tobytes()
+            assert weight == weights[row]
+
+    def test_delayed_marker_is_kernel_row(self):
+        for seed in range(4):
+            state = final_state_marked(random_config(1024, seed))
+            _, conditionals = condition_on_system(state)
+            for j in range(1, state.system_dim + 1):
+                vector = delayed_marker_state(state, j).marker_state.vector
+                assert vector.tobytes() == project_system(state, j - 1)[0].tobytes()
+                assert vector.tobytes() == conditionals[j - 1].tobytes()
+
+    def test_default_config_is_the_scalar_pattern(self):
+        """The alternating phases that default_marked_state writes one by one."""
+        for n in (2, 10, 1000, 100000):
+            scalar = [0.0 if j % 2 == 1 else math.pi for j in range(1, n + 1)]
+            assert default_config(n).phis.tobytes() == np.array(scalar).tobytes()
 
 
 class TestDensity:
