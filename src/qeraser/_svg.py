@@ -25,18 +25,6 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """`row % (c[i] for c in columns)` for each i, as analysis._EVENT_CHUNK rows per chunk."""
-    size = analysis._EVENT_CHUNK
-    width = len(columns)
-    for start in range(0, len(columns[0]), size):
-        parts = [column[start : start + size].tolist() for column in columns]
-        flat = [None] * (width * len(parts[0]))
-        for offset, part in enumerate(parts):
-            flat[offset::width] = part
-        yield (row * len(parts[0])) % tuple(flat)
-
-
 def _scale(values: np.ndarray, lo, hi, pixels) -> np.ndarray:
     if hi == lo:
         return np.zeros(values.shape)
@@ -68,7 +56,7 @@ def _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label) -> Iterato
     )
     frac = np.arange(5) / 4
     x, y = x0 + frac * PLOT_W, y0 - frac * PLOT_H
-    ticks = _rows(tick, (x, x, x, x_lo + frac * (x_hi - x_lo), y, y, y + 4, frac * y_hi))
+    ticks = analysis._rows(tick, (x, x, x, x_lo + frac * (x_hi - x_lo), y, y, y + 4, frac * y_hi))
     return chain((head,), ticks, marks, ("</svg>\n",))
 
 
@@ -81,7 +69,7 @@ def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[str]:
     py = MARGIN_TOP + PLOT_H - _scale(ys, 0.0, y_hi, PLOT_H)
     head = '<polyline points="%.6g,%.6g' % (px[0], py[0])
     tail = '" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
-    marks = chain((head,), _rows(" %.6g,%.6g", (px[1:], py[1:])), (tail,))
+    marks = chain((head,), analysis._rows(" %.6g,%.6g", (px[1:], py[1:])), (tail,))
     return _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label)
 
 
@@ -100,5 +88,5 @@ def bar_chart(labels, values, title, x_label, y_label, comment) -> Iterator[str]
         f'<text x="%.6g" y="{y0 + 34}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="10">%s</text>\n'
     )
-    marks = _rows(row, (xs, y0 - heights, heights, xs + width / 2, np.asarray(labels)))
+    marks = analysis._rows(row, (xs, y0 - heights, heights, xs + width / 2, np.asarray(labels)))
     return _frame(title, comment, marks, 0.5, count + 0.5, y_hi, x_label, y_label)

@@ -205,6 +205,17 @@ EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 _EVENT_CHUNK = 1 << 16
 
 
+def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
+    """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk."""
+    width = len(columns)
+    for start in range(0, len(columns[0]), _EVENT_CHUNK):
+        parts = [column[start : start + _EVENT_CHUNK].tolist() for column in columns]
+        flat = [None] * (width * len(parts[0]))
+        for offset, part in enumerate(parts):
+            flat[offset::width] = part
+        yield (row * len(parts[0])) % tuple(flat)
+
+
 def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     """Flat (row-major) cell indices of `count` inverse-CDF draws, in chunks.
 
@@ -242,8 +253,7 @@ def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
 
 
 def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_labels):
-    """(cell draws, (system label, marker index) per table cell, seed) of an
-    event log, after every check.
+    """(cell draws, joint table, seed) of an event log, after every check.
 
     Both event-log paths call this before drawing anything, so a bad input
     raises before the first event or byte.
@@ -255,10 +265,7 @@ def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_l
     table = joint_distribution(state, marker_basis, order, system_labels)
     if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
         raise ValidationError("system labels must be integers in event logs")
-    draws = _draws(table, count, seed)
-    markers = range(len(table.col_labels))
-    cells = [(int(label), marker) for label in table.row_labels for marker in markers]
-    return draws, cells, int(seed)
+    return _draws(table, count, seed), table, int(seed)
 
 
 def sample_events(
@@ -280,19 +287,15 @@ def sample_events(
     system_labels, when given, must be integers (e.g. 1-based detector
     numbers) and are used as the logged system outcomes.
     """
-    draws, cells, seed = _event_inputs(
+    draws, table, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    events: list[EventRecord] = []
-    for chunk in draws:
-        drawn = map(cells.__getitem__, chunk.tolist())
-        events.extend(
-            [
-                EventRecord(scenario_id, index, label, marker, order, seed)
-                for index, (label, marker) in enumerate(drawn, len(events))
-            ]
-        )
-    return events
+    rows, markers = np.divmod(np.concatenate(list(draws)), len(table.col_labels))
+    labels = [int(label) for label in table.row_labels]
+    return [
+        EventRecord(scenario_id, index, labels[row], marker, order, seed)
+        for index, (row, marker) in enumerate(zip(rows.tolist(), markers.tolist()))
+    ]
 
 
 def event_log_chunks(
@@ -312,19 +315,22 @@ def event_log_chunks(
     are drawn and formatted _EVENT_CHUNK at a time, and no record object
     is built.
     """
-    draws, cells, seed = _event_inputs(
+    draws, table, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
     # Everything after the event index depends only on the drawn cell.
-    suffixes = [f"{label},{marker},{order},{seed}" for label, marker in cells]
+    markers = range(len(table.col_labels))
+    suffixes = np.array(
+        [f"{int(label)},{m},{order},{seed}" for label in table.row_labels for m in markers],
+        dtype=object,
+    )
+    row = scenario_id.replace("%", "%%") + ",%d,%s\n"
 
     def rows():
         yield EVENT_LOG_HEADER + "\n"
         start = 0
         for chunk in draws:
-            yield "".join(
-                [f"{scenario_id},{i},{suffixes[c]}\n" for i, c in enumerate(chunk.tolist(), start)]
-            )
+            yield from _rows(row, (np.arange(start, start + chunk.size), suffixes[chunk]))
             start += chunk.size
 
     return rows()

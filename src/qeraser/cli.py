@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,11 @@ class _ParseExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No flag starts with a digit, so "-1e-3" and "-3.1,0" are values, not flags.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # JSON on stderr instead of usage text
         raise _ParseExit(message)
 
@@ -426,7 +432,7 @@ SCENARIOS = {
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
 # formatted as main writes them, analysis._EVENT_CHUNK rows at a time, with
-# one `%` per chunk (`_svg._rows` for patterns); joint tables are one chunk.
+# one `%` per chunk (analysis._rows); joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -455,13 +461,13 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     if condition != "none":
         header += ",condition"
         row += "," + condition.replace("%", "%%")
-    rows = _svg._rows(row + "\n", (xs, probs))
+    rows = analysis._rows(row + "\n", (xs, probs))
     return itertools.chain((f"# config: {echo}\n{header}\n",), rows)
 
 
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
-    items = _svg._rows(",\n    %r", (column,))
+    items = analysis._rows(",\n    %r", (column,))
     yield "[" + next(items)[1:]
     yield from items
     yield "\n  ]"
@@ -504,7 +510,7 @@ def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
 
 def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
     cells = np.array([f"{r},{c}" for r in table.row_labels for c in table.col_labels])
-    rows = _svg._rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
+    rows = analysis._rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
     return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]),)
 
 

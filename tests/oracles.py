@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from qeraser import _svg
+from qeraser.analysis import sample_outcomes
 
 
 def bare_channel_probs(thetas, phis):
@@ -96,6 +97,19 @@ def chi_square_pass(probabilities, observed_counts, quantile=0.999, pool_below=5
     obs, exp = np.asarray(obs), np.asarray(exp)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     return statistic < float(chi2.ppf(quantile, len(exp) - 1))
+
+
+def event_log(table, count, seed, scenario_id, order):
+    """Event log text: the header, then one f-string per draw of sample_outcomes.
+
+    Draw i is cell (row, marker) = divmod(cell, columns) of the table, logged
+    under the row's label.
+    """
+    lines = ["scenario_id,event_index,system_outcome,marker_outcome,order,seed"]
+    for index, cell in enumerate(sample_outcomes(table, count, seed).tolist()):
+        row, marker = divmod(cell, len(table.col_labels))
+        lines.append(f"{scenario_id},{index},{table.row_labels[row]},{marker},{order},{seed}")
+    return "\n".join(lines) + "\n"
 
 
 def pattern_csv(payload, echo):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import chi_square_pass, conditioned_screen_joint
 from qeraser import analysis, core
 from qeraser.analysis import (
@@ -321,6 +322,12 @@ def reference_log(*args) -> str:
     return EVENT_LOG_HEADER + "\n" + "\n".join(e.csv_row() for e in events) + "\n"
 
 
+def oracle_log(state, basis, order, count, seed, scenario_id, labels) -> str:
+    """The event log of oracles.event_log, drawn from the same joint table."""
+    table = joint_distribution(state, basis, order, labels)
+    return oracles.event_log(table, count, seed, scenario_id, order)
+
+
 class TestEventLogChunks:
     @given(
         scenario=st.sampled_from(sorted(SCENARIO_MODELS)),
@@ -331,7 +338,7 @@ class TestEventLogChunks:
         seed=st.integers(0, 2**64 - 1),
         chunk=st.sampled_from([1, 7, 1 << 16, "above count"]),
         offset=st.sampled_from([0, 2**70]),
-        scenario_id=st.sampled_from(["s", "run 2.ü", "x{}"]),
+        scenario_id=st.sampled_from(["s", "run 2.ü", "x{}", "100%", "%s%%d"]),
     )
     def test_bytes_equal_record_rows_for_every_chunk_size(
         self, scenario, order, basis, theta, count, seed, chunk, offset, scenario_id
@@ -344,7 +351,9 @@ class TestEventLogChunks:
             chunks = list(event_log_chunks(*args))
         assert len(chunks) == 1 + -(-count // size)
         assert all(text.endswith("\n") for text in chunks)
-        assert "".join(chunks) == reference_log(*args)
+        expected = oracle_log(*args)
+        assert "".join(chunks) == expected
+        assert reference_log(*args) == expected
 
     def test_chunk_boundaries_at_default_size(self):
         """Three chunks of 2^16 draws equal one batch of the same stream."""
@@ -354,6 +363,7 @@ class TestEventLogChunks:
         streamed = "".join(event_log_chunks(*args))
         with mock.patch.object(analysis, "_EVENT_CHUNK", count + 1):
             assert streamed == reference_log(*args)
+        assert streamed == oracle_log(*args)
 
     @pytest.mark.parametrize(
         "count, seed, scenario_id, labels, error",

@@ -842,3 +842,37 @@ class TestApplicability:
         )
         assert code == 0
         assert explicit == plain
+
+
+#: Flags, each written with `=`, under which every float and list parameter applies.
+ALL_APPLICABLE = {
+    "nchannel": ["--preset=custom", "--thetas=0,0", "--phis=0,0", "--condition=dplus"],
+    "twoslit": ["--preset=custom", "--d=1", "--wavelength=0.5", "--L=100", "--x-min=-50",
+                "--x-max=50", "--bins=64", "--envelope=gaussian", "--sigma=20"],
+    "sample": ["--preset=custom", "--thetas=0,0", "--phis=0,0", "--count=50"],
+}
+NUMBER_PARAMS = [
+    (kind, param)
+    for kind, scenario in cli.SCENARIOS.items()
+    for param in scenario.params
+    if param.type in (float, list)
+]
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "kind, param", NUMBER_PARAMS, ids=lambda value: getattr(value, "name", value)
+    )
+    def test_space_and_equals_spellings_agree(self, kind, param, capsys):
+        """`--flag -2e-1` is the value -0.2, as `--flag=-2e-1` is, and never a parse error.
+
+        Where the value is out of range (a negative length or sigma), both
+        spellings give the same one JSON error.
+        """
+        flag = "--" + param.name.replace("_", "-")
+        value = "-3.141592653589793,0" if param.type is list else "-2e-1"
+        argv = [kind, *ALL_APPLICABLE[kind]]
+        spaced = run_cli([*argv, flag, value, "-o", "-"], capsys)
+        joined = run_cli([*argv, f"{flag}={value}", "-o", "-"], capsys)
+        assert spaced == joined
+        assert spaced[0] in (0, 3)
