@@ -10,7 +10,7 @@ analysis layer verifies that joint statistics are independent of the
 measurement ordering and provides deterministic seeded event sampling.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
     MARKER_FIRST,
@@ -29,13 +29,11 @@ from .core import (
     DensityOperator,
     PureState,
     fidelity_pure,
-    inner_product,
     make_state,
     project_marker,
     project_system,
     purity,
     reduced_marker_density,
-    tensor,
 )
 from .marker import (
     MarkerBasis,
@@ -102,7 +100,6 @@ __all__ = [
     "fidelity_pure",
     "final_state_bare",
     "final_state_marked",
-    "inner_product",
     "joint_distribution",
     "make_state",
     "marked_state",
@@ -118,7 +115,6 @@ __all__ = [
     "random_config",
     "reduced_marker_density",
     "sample_events",
-    "tensor",
     "validate_config",
     "visibility",
     "which_path_basis",

@@ -192,12 +192,6 @@ class EventRecord(NamedTuple):
     order: str
     seed: int
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.scenario_id},{self.event_index},{self.system_outcome},"
-            f"{self.marker_outcome},{self.order},{self.seed}"
-        )
-
 
 EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
@@ -309,11 +303,11 @@ def event_log_chunks(
 ) -> Iterator[str]:
     """The CSV text of sample_events' records, header first, in chunks.
 
-    The chunks join to EVENT_LOG_HEADER and one csv_row() per record,
-    each line ending in a newline. Every check of sample_events is made
-    before this returns, so iterating raises no QEraserError; the rows
-    are drawn and formatted _EVENT_CHUNK at a time, and no record object
-    is built.
+    The chunks join to EVENT_LOG_HEADER and one comma-joined line per
+    record, each ending in a newline. Every check of sample_events is
+    made before this returns, so iterating raises no QEraserError; the
+    rows are drawn and formatted _EVENT_CHUNK at a time, and no record
+    object is built.
     """
     draws, table, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels

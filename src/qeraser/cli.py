@@ -25,6 +25,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -93,7 +94,7 @@ def _phase_list(value) -> list | None:
 #: a phase vector, given as a comma-separated string or a JSON list.
 _TYPES = {
     int: (_is_int, "an integer"),
-    float: (_is_real, "a number"),
+    float: (lambda value: _is_real(value) and math.isfinite(value), "a finite number"),
     bool: (lambda value: isinstance(value, bool), "true or false"),
     str: (lambda value: isinstance(value, str), "a string"),
     list: (lambda value: _phase_list(value) is not None, "numbers, as a list or comma-separated"),

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidDensityError,
     InvariantError,
     NoMarkerError,
     NonFiniteError,
@@ -126,17 +127,6 @@ class PureState:
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.system_dim, self.marker_dim)
-
-    def amplitude(self, system_index: int, marker_index: int = 0) -> complex:
-        """Amplitude at one (system, marker) basis label."""
-        block = self.marker_block(system_index)
-        if not 0 <= marker_index < self.marker_dim:
-            raise IndexOutOfRangeError(f"marker index {marker_index} out of range")
-        return complex(block[marker_index])
-
     def marker_block(self, system_index: int) -> np.ndarray:
         """Contiguous marker amplitudes of one system outcome (copy)."""
         if not 0 <= system_index < self.system_dim:
@@ -210,11 +200,11 @@ class DensityOperator:
             raise DimensionMismatchError("density matrix must be square")
         _as_complex_vector(mat, name="density matrix")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian")
+            raise InvalidDensityError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
-            raise ValueError("density matrix trace is not 1")
+            raise NotNormalizedError("density matrix trace is not 1")
         if np.min(np.linalg.eigvalsh(mat)) < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+            raise InvalidDensityError("density matrix has a negative eigenvalue")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -255,34 +245,6 @@ def make_state(dims: tuple[int, int], amplitudes) -> PureState:
         raise ZeroNormError("cannot normalize the zero vector")
     unit, scale = _exactly_normalized(vec / norm)
     return _normalized_state(system_dim, marker_dim, unit, norm * scale)
-
-
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dims != b.dims:
-        raise DimensionMismatchError(f"incompatible dims {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def tensor(system: PureState, marker) -> PureState:
-    """Tensor product of a marker-free state with a 1- or 2-level factor.
-
-    `marker` may be a marker-free PureState or any 1- or 2-component
-    normalized vector. The result uses system-major ordering.
-    """
-    if system.marker_dim != 1:
-        raise DimensionMismatchError("system factor must be marker-free")
-    if isinstance(marker, PureState):
-        if marker.marker_dim != 1:
-            raise DimensionMismatchError("marker factor must itself be a plain vector")
-        marker_vec = marker.amplitudes
-    else:
-        marker_vec = _unit_vector(marker, None, "marker factor")
-    if marker_vec.size not in (1, 2):
-        raise DimensionMismatchError("marker factor must have dimension 1 or 2")
-    return PureState(
-        system.system_dim, marker_vec.size, np.kron(system.amplitudes, marker_vec)
-    )
 
 
 def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:

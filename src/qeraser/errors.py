@@ -29,6 +29,10 @@ class NotNormalizedError(QEraserError, ValueError):
     """A state or vector that must have unit norm does not."""
 
 
+class InvalidDensityError(QEraserError, ValueError):
+    """A density matrix that is not Hermitian or has a negative eigenvalue."""
+
+
 class InvariantError(QEraserError, AssertionError):
     """A computed probability or purity breaks the range or sum it must obey."""
 

@@ -12,8 +12,8 @@ and implementations:
 
 Uniform doubles take the top 53 bits: u_i = (output_i >> 11) / 2^53,
 giving values in [0, 1). Because output_i depends only on (seed, i),
-the stream can be produced one value at a time or as a vectorized batch
-with identical results. Streams with distinct seeds never share state.
+batches of any size concatenate to the same stream. Streams with
+distinct seeds never share state.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ def checked_seed(seed) -> int:
     return int(seed)
 
 
-def mix64(word: int) -> int:
-    """Output function applied to one raw 64-bit state word."""
-    z = word & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """Counter-based splitmix64 stream over a 64-bit seed."""
 
@@ -55,17 +47,9 @@ class SplitMix64:
         self._seed = int(seed) & _MASK64
         self._index = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def next_uint64(self) -> int:
-        self._index += 1
-        return mix64((self._seed + self._index * _GAMMA) & _MASK64)
-
-    def next_float(self) -> float:
-        """Next uniform double in [0, 1)."""
-        return (self.next_uint64() >> 11) * _DOUBLE_SCALE
+        """Next output as a Python int (advances the stream by one)."""
+        return int(self.uint64s(1)[0])
 
     def uint64s(self, count: int) -> np.ndarray:
         """Next `count` outputs as a uint64 array (advances the stream)."""

@@ -5,6 +5,8 @@ computations share no code path with the vectorized implementation under
 test, so agreement is evidence rather than tautology. The reference
 emitters at the end format one row or point per call, with str.format,
 f-strings and json.dumps, where the package formats whole chunks with `%`.
+`inner_product`, `tensor`, `splitmix64` and `csv_row` are the scalar forms
+of operations the package has no public function for.
 """
 
 import cmath
@@ -17,6 +19,63 @@ from scipy.stats import chi2
 
 from qeraser import _svg
 from qeraser.analysis import sample_outcomes
+from qeraser.core import PureState
+from qeraser.errors import DimensionMismatchError, NotNormalizedError
+
+_MASK64 = (1 << 64) - 1
+
+
+def inner_product(a, b):
+    """<a|b> of two PureStates, conjugate-linear in a, by one complex sum."""
+    if (a.system_dim, a.marker_dim) != (b.system_dim, b.marker_dim):
+        raise DimensionMismatchError(
+            f"incompatible dims {(a.system_dim, a.marker_dim)} vs {(b.system_dim, b.marker_dim)}"
+        )
+    return sum(x.conjugate() * y for x, y in zip(a.amplitudes.tolist(), b.amplitudes.tolist()))
+
+
+def tensor(system, marker):
+    """system (x) marker in system-major order, one product per amplitude.
+
+    `system` is a marker-free PureState; `marker` is a marker-free PureState
+    or a normalized 1- or 2-component vector.
+    """
+    if system.marker_dim != 1:
+        raise DimensionMismatchError("system factor must be marker-free")
+    if isinstance(marker, PureState):
+        if marker.marker_dim != 1:
+            raise DimensionMismatchError("marker factor must itself be a plain vector")
+        factor = marker.amplitudes.tolist()
+    else:
+        factor = [complex(value) for value in np.asarray(marker).reshape(-1).tolist()]
+        sq_norm = sum(abs(value) ** 2 for value in factor)
+        if abs(sq_norm - 1.0) > 1e-12:
+            raise NotNormalizedError(f"marker factor is not normalized: squared norm = {sq_norm!r}")
+    if len(factor) not in (1, 2):
+        raise DimensionMismatchError("marker factor must have dimension 1 or 2")
+    amplitudes = [s * m for s in system.amplitudes.tolist() for m in factor]
+    return PureState(system.system_dim, len(factor), np.array(amplitudes))
+
+
+def splitmix64(seed, count):
+    """The first `count` outputs of the splitmix64 stream, one Python int at a time.
+
+    The specification in qeraser.rng's docstring: state_i = seed + i * gamma
+    (i = 1, 2, ...) mod 2^64, then the two xor-shift-multiply rounds and a
+    final xor-shift.
+    """
+    outputs = []
+    for i in range(1, count + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+def splitmix64_floats(seed, count):
+    """Uniform doubles in [0, 1) from the top 53 bits of each splitmix64 output."""
+    return [(word >> 11) / 2**53 for word in splitmix64(seed, count)]
 
 
 def bare_channel_probs(thetas, phis):
@@ -110,6 +169,14 @@ def event_log(table, count, seed, scenario_id, order):
         row, marker = divmod(cell, len(table.col_labels))
         lines.append(f"{scenario_id},{index},{table.row_labels[row]},{marker},{order},{seed}")
     return "\n".join(lines) + "\n"
+
+
+def csv_row(record):
+    """One event-log line of an EventRecord, by one f-string."""
+    return (
+        f"{record.scenario_id},{record.event_index},{record.system_outcome},"
+        f"{record.marker_outcome},{record.order},{record.seed}"
+    )
 
 
 def pattern_csv(payload, echo):

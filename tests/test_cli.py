@@ -717,6 +717,10 @@ ERROR_CONTRACT_CASES = {
          "--x-min", "0", "--x-max", "1e-320", "--bins", "2"],
         None,
     ),
+    # JSON has no NaN or Infinity, so the config echo must never carry one.
+    "theta-flag-nan": (["sample", "--basis", "whichpath", "--theta", "nan", "--count", "2"], None),
+    "theta-flag-overflow": (["sample", "--basis", "whichpath", "--theta=-1e400"], None),
+    "theta-infinity-in-file": (["sample"], _file("sample", basis="whichpath", theta=math.inf)),
     "nchannel-phase-difference-overflow": (
         ["nchannel"],
         _file("nchannel", preset="custom", thetas=[1e308, 0.0], phis=[-1e308, math.pi]),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from oracles import inner_product, tensor
 from qeraser.analysis import SYSTEM_FIRST, JointTable, joint_distribution
 from qeraser.core import (
     ZERO_PROBABILITY,
@@ -13,19 +14,18 @@ from qeraser.core import (
     checked_probabilities,
     condition_on_system,
     fidelity_pure,
-    inner_product,
     make_state,
     overlap_fidelity,
     project_marker,
     project_system,
     purity,
     reduced_marker_density,
-    tensor,
 )
 from qeraser.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidCountError,
+    InvalidDensityError,
     InvariantError,
     NoMarkerError,
     NonFiniteError,
@@ -478,11 +478,16 @@ class TestRuleErrors:
             (lambda: SplitMix64(1).uint64s(-1), InvalidCountError, ValueError),
             (lambda: joint_distribution(ENTANGLED, (erasure_basis(0.0).plus,) * 2, SYSTEM_FIRST),
              ValidationError, ValueError),
+            (lambda: DensityOperator(np.array([[1.0, 0.5], [0.0, 0.0]])), InvalidDensityError,
+             ValueError),
+            (lambda: DensityOperator(np.diag([0.6, 0.6])), NotNormalizedError, ValueError),
+            (lambda: DensityOperator(np.diag([1.5, -0.5])), InvalidDensityError, ValueError),
         ],
         ids=["non-finite", "state-norm", "tensor-norm", "marker-norm", "target-norm",
              "probability-range", "probability-non-finite", "table-shape", "order",
              "system-label-count", "marker-non-finite", "marker-norm-state",
-             "marker-vector-size", "negative-draw-count", "basis-not-orthogonal"],
+             "marker-vector-size", "negative-draw-count", "basis-not-orthogonal",
+             "density-not-hermitian", "density-trace", "density-negative-eigenvalue"],
     )
     def test_rule_error_classes(self, violate, error, builtin):
         with pytest.raises(error) as info:

@@ -151,7 +151,9 @@ class TestRoundTrips:
             assert marked_state(copied).amplitudes.tobytes() == state.amplitudes.tobytes()
         for original in (state, direct):
             for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
-                assert copied.dims == original.dims
+                assert (copied.system_dim, copied.marker_dim) == (
+                    original.system_dim, original.marker_dim
+                )
                 assert copied.normalization == original.normalization
                 assert copied.amplitudes.tobytes() == original.amplitudes.tobytes()
         for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):

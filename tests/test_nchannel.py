@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bare_channel_probs, joint_channel_probs, marked_channel_probs
+from oracles import bare_channel_probs, joint_channel_probs, marked_channel_probs, tensor
 from qeraser import analysis, core, marker, nchannel
 from qeraser.errors import (
     IndexOutOfRangeError,
@@ -193,7 +193,7 @@ class TestConditioning:
             conditioned_distribution(final_state_bare(default_config(4)), [1, 0])
 
     def test_zero_probability_condition(self):
-        product = core.tensor(core.make_state((2, 1), [1, 1]), [1, 0])
+        product = tensor(core.make_state((2, 1), [1, 1]), [1, 0])
         with pytest.raises(ZeroProbabilityError):
             conditioned_distribution(product, which_path_basis()[1])
 
