@@ -10,7 +10,7 @@ analysis layer verifies that joint statistics are independent of the
 measurement ordering and provides deterministic seeded event sampling.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     MARKER_FIRST,
@@ -27,6 +27,7 @@ from .analysis import (
 from .core import (
     ATOL,
     DensityOperator,
+    Distribution,
     PureState,
     fidelity_pure,
     make_state,
@@ -43,7 +44,6 @@ from .marker import (
     which_path_basis,
 )
 from .nchannel import (
-    DetectorDistribution,
     PhaseConfig,
     conditioned_distribution,
     default_config,
@@ -58,7 +58,6 @@ from .rng import SplitMix64
 from .twoslit import (
     ScreenGeometry,
     ScreenGrid,
-    ScreenPattern,
     build_grid,
     default_geometry,
     default_grid,
@@ -75,7 +74,7 @@ __all__ = [
     "MARKER_FIRST",
     "SYSTEM_FIRST",
     "DensityOperator",
-    "DetectorDistribution",
+    "Distribution",
     "EventRecord",
     "JointTable",
     "MarkerBasis",
@@ -84,7 +83,6 @@ __all__ = [
     "PureState",
     "ScreenGeometry",
     "ScreenGrid",
-    "ScreenPattern",
     "SplitMix64",
     "build_grid",
     "conditioned_distribution",

@@ -605,13 +605,15 @@ def main(argv=None) -> int:
             # file; an I/O error part-way can leave a partial one.
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
-            print(str(path))
+            # The file is written; characters stdout cannot encode print as escapes.
+            encoding = sys.stdout.encoding or "utf-8"
+            print(str(path).encode(encoding, "backslashreplace").decode(encoding))
         return 0
     except _ParseExit as exc:
         return _fail(2, exc)
     except QEraserError as exc:  # ValidationError included
         return _fail(3, exc)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # an artifact stdout cannot encode is I/O
         return _fail(4, exc)
 
 

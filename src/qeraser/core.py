@@ -109,6 +109,21 @@ def _checked_probability(p: float, what: str) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Distribution:
+    """Probabilities over the system outcomes (detectors or screen bins),
+    tagged with the marker outcome they are conditioned on, if any."""
+
+    probabilities: np.ndarray
+    condition: str = "none"
+
+    def __post_init__(self):
+        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
+        if p.size == 0:
+            raise DimensionMismatchError("a distribution needs at least one outcome")
+        object.__setattr__(self, "probabilities", checked_probabilities(p, "probabilities"))
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state over a (system_dim x marker_dim) product basis.
 

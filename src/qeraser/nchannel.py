@@ -176,37 +176,12 @@ def final_state_marked(config: PhaseConfig) -> core.PureState:
     return core.make_state((config.n, 2), table.reshape(-1))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectorDistribution:
-    """Probabilities over the n detectors, optionally marker-conditioned."""
-
-    probabilities: np.ndarray
-    condition: str = "none"
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        if p.size == 0:
-            raise LengthMismatchError("distribution must cover at least one detector")
-        p = core.checked_probabilities(p, "detector probabilities")
-        object.__setattr__(self, "probabilities", p)
-
-    @property
-    def n(self) -> int:
-        return self.probabilities.size
-
-    def probability(self, detector_j: int) -> float:
-        """Probability of detector j (1-based)."""
-        if not 1 <= detector_j <= self.n:
-            raise IndexOutOfRangeError(f"detector {detector_j} out of 1..{self.n}")
-        return float(self.probabilities[detector_j - 1])
-
-
-def detector_probabilities(state: core.PureState) -> DetectorDistribution:
+def detector_probabilities(state: core.PureState) -> core.Distribution:
     """Unconditioned detector distribution (marker summed over, if any)."""
-    return DetectorDistribution(state.system_probabilities(), "none")
+    return core.Distribution(state.system_probabilities(), "none")
 
 
-def conditioned_distribution(state: core.PureState, marker_state) -> DetectorDistribution:
+def conditioned_distribution(state: core.PureState, marker_state) -> core.Distribution:
     """Detector distribution given a marker projection, renormalized.
 
     Raises NoMarkerError for bare states and ZeroProbabilityError when the
@@ -214,7 +189,7 @@ def conditioned_distribution(state: core.PureState, marker_state) -> DetectorDis
     """
     residual, _ = core.project_marker(state, np.asarray(marker_state, dtype=complex))
     label = getattr(marker_state, "label", "marker")
-    return DetectorDistribution(residual.system_probabilities(), label)
+    return core.Distribution(residual.system_probabilities(), label)
 
 
 #: The theta = 0 erasure pair's vectors, against which delayed_marker_state

@@ -207,35 +207,19 @@ def marked_state(grid: ScreenGrid) -> core.PureState:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ScreenPattern:
-    """Normalized per-bin probabilities, tagged with their conditioning."""
-
-    grid: ScreenGrid
-    probabilities: np.ndarray
-    condition: str = "none"
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.size != self.grid.bins:
-            raise InvalidGeometryError("pattern length must match the grid")
-        p = core.checked_probabilities(p, "pattern probabilities")
-        object.__setattr__(self, "probabilities", p)
-
-
-def pattern_no_marker(grid: ScreenGrid) -> ScreenPattern:
+def pattern_no_marker(grid: ScreenGrid) -> core.Distribution:
     """Full-contrast fringes, proportional to psi^2 (1 + cos 2 theta_x) dx."""
-    return ScreenPattern(grid, bare_state(grid).system_probabilities(), "none")
+    return core.Distribution(bare_state(grid).system_probabilities(), "none")
 
 
-def pattern_marked_unconditioned(grid: ScreenGrid) -> ScreenPattern:
+def pattern_marked_unconditioned(grid: ScreenGrid) -> core.Distribution:
     """Washed-out pattern: the bare envelope, visibility zero."""
-    return ScreenPattern(grid, marked_state(grid).system_probabilities(), "none")
+    return core.Distribution(marked_state(grid).system_probabilities(), "none")
 
 
 def pattern_conditioned(
     grid: ScreenGrid, theta: float, sign: str
-) -> tuple[ScreenPattern, float]:
+) -> tuple[core.Distribution, float]:
     """Recovered fringes given the erasure outcome plus/minus(theta).
 
     Returns (renormalized pattern, branch probability). The pattern is
@@ -247,7 +231,7 @@ def pattern_conditioned(
         raise ValidationError(f"sign must be one of {MarkerBasis._fields}, got {sign!r}")
     element = getattr(erasure_basis(theta), sign)
     residual, probability = core.project_marker(marked_state(grid), element)
-    pattern = ScreenPattern(grid, residual.system_probabilities(), element.label)
+    pattern = core.Distribution(residual.system_probabilities(), element.label)
     return pattern, probability
 
 
@@ -282,18 +266,23 @@ def delayed_marker_state_at(grid: ScreenGrid, bin_k: int) -> ScreenMarker:
     )
 
 
-def visibility(pattern: ScreenPattern, envelope_corrected: bool = True) -> float:
-    """Fringe contrast (max - min) / (max + min) of a pattern.
+def visibility(
+    grid: ScreenGrid, pattern: core.Distribution, envelope_corrected: bool = True
+) -> float:
+    """Fringe contrast (max - min) / (max + min) of a pattern on `grid`.
 
     With envelope_corrected (the default) each bin is divided by the
     envelope-only weight psi^2 dx first, so a pure envelope has
     visibility 0 and a full-contrast cosine has visibility 1; bins with
-    zero envelope are excluded. Raises DegeneratePatternError when no
-    contrast information remains.
+    zero envelope are excluded. Raises InvalidGeometryError when the
+    pattern does not have one entry per bin, and DegeneratePatternError
+    when no contrast information remains.
     """
     values = pattern.probabilities
+    if values.size != grid.bins:
+        raise InvalidGeometryError("pattern length must match the grid")
     if envelope_corrected:
-        weights = pattern.grid.bin_weights()
+        weights = grid.bin_weights()
         mask = weights > 0.0
         values = values[mask] / weights[mask]
     if values.size < 2:

@@ -136,7 +136,7 @@ def test_06_complementary_patterns():
                 form_residual,
                 float(np.max(np.abs(pattern.probabilities - joint / joint.sum()))),
             )
-            visibility_residual = max(visibility_residual, abs(visibility(pattern) - 1.0))
+            visibility_residual = max(visibility_residual, abs(visibility(grid, pattern) - 1.0))
     elapsed = time.perf_counter() - start
     assert sum_residual < TOL
     assert form_residual < TOL

@@ -389,6 +389,34 @@ class TestStreamedLog:
         assert out.read_text().count("\n") == 1
 
 
+def run_with_stdout_encoding(tmp_path, encoding, argv):
+    """`qeraser argv` in a subprocess in tmp_path whose stdout has the given encoding."""
+    env = dict(one_blas_thread_env(), PYTHONIOENCODING=encoding)
+    return subprocess.run(
+        [sys.executable, "-m", "qeraser.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60,
+    )
+
+
+class TestUnencodableStdout:
+    """What stdout cannot encode never ends in a traceback."""
+
+    def test_written_path_prints_escaped(self, tmp_path):
+        name = os.fsdecode(b"o\xfe.csv")  # not UTF-8: the byte decodes to a lone surrogate
+        proc = run_with_stdout_encoding(tmp_path, "utf-8", ["nchannel", "--n", "4", "-o", name])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"o\\udcfe.csv\n", b"")
+        assert (tmp_path / name).read_text().startswith("# config: ")
+
+    def test_artifact_is_exit_4(self, tmp_path):
+        argv = ["sample", "--scenario-id", "é", "--count", "1", "-o", "-"]
+        proc = run_with_stdout_encoding(tmp_path, "ascii", argv)
+        assert proc.returncode == 4
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert (error["error"], error["exit_code"]) == ("UnicodeEncodeError", 4)
+
+
 WIDE_SCREEN = [
     "twoslit", "--preset", "custom", "--d", "2", "--wavelength", "1", "--L", "1000",
     "--x-min=-2000", "--x-max", "2000",

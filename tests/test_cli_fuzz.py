@@ -1,8 +1,11 @@
 """Fuzz gate of the CLI error contract, drawn from `cli.SCENARIOS`.
 
 Each example picks a subcommand, a random subset of its parameters and a
-value for each, taken from the parameter's type and choices or from junk
-("abc", "", nan, +-inf, 1e308, 1e-320, NUL strings, lists). Values go on
+value for each, taken from the parameter's type and choices or, for at
+most one value of the example, from junk ("abc", "", nan, +-inf, 1e308,
+1e-320, NUL strings, lists). A parameter mostly comes with a value of the
+condition it applies under, so that most runs get past the checks and
+exit 0 with an artifact. Values go on
 the command line or into a config file; the artifact goes to stdout, to
 a config-file output path or under $QERASER_OUT_DIR. Every example must
 end in one of two ways:
@@ -43,12 +46,7 @@ EXTREME_FLOATS = [0.0, 1e-320, 1e-300, 1e-200, 1e300, 1e308, -1e308, 1.7e308,
 JUNK = st.sampled_from(["abc", "", "\0", "a\0b", [], [1, "x"], [math.nan], 2**70, True, None]
                        + EXTREME_FLOATS)
 extremes = st.sampled_from(EXTREME_FLOATS)
-floats = st.one_of(
-    st.floats(-10.0, 10.0),
-    st.floats(1e-3, 1e4),
-    extremes,
-    st.floats(),
-)
+floats = st.one_of(st.floats(-10.0, 10.0), st.floats(1e-3, 1e4), st.floats())
 #: Draws for a full custom geometry: mostly plausible, sometimes extreme.
 GEOMETRY = {
     "d": st.floats(1e-2, 1e3),
@@ -70,7 +68,7 @@ def _valid_phases(n):
 phase_lists = st.one_of(
     st.sampled_from([2, 4, 6]).map(lambda n: _valid_phases(n)[0]),
     st.sampled_from([2, 4, 6]).map(lambda n: _valid_phases(n)[1]),
-    st.lists(floats, max_size=6),
+    st.lists(st.one_of(floats, extremes), max_size=6),
 )
 
 
@@ -88,11 +86,6 @@ def _typed_values(param):
     }[param.type]
 
 
-def _mostly(values, rare=JUNK, one_in=4):
-    """values, with one draw in `one_in` taken from `rare` instead."""
-    return st.integers(1, one_in).flatmap(lambda k: rare if k == 1 else values)
-
-
 def _flag_text(value):
     """The command-line spelling of a value, or None if argv cannot carry it."""
     if isinstance(value, list):
@@ -106,20 +99,55 @@ def _flag_text(value):
 
 @st.composite
 def invocations(draw):
-    """(argv, config file contents or None)."""
+    """(argv, config file contents or None).
+
+    At most one value of an example is junk or extreme. A parameter that
+    applies only under a condition (its Param's `when`), a custom preset and
+    the format mostly come valid, so most examples get past the checks.
+    """
     kind = draw(st.sampled_from(sorted(cli.SCENARIOS)))
-    params = {p.name: p for p in cli.SCENARIOS[kind].params}
+    scenario = cli.SCENARIOS[kind]
+    params = {p.name: p for p in scenario.params}
+    rare_left = draw(st.booleans())
+
+    def mostly(values, rare=JUNK, one_in=4):
+        """A draw from values, or one in `one_in` from `rare` if no value was rare yet."""
+        nonlocal rare_left
+        if rare_left and draw(st.integers(1, one_in)) == 1:
+            rare_left = False
+            return draw(rare)
+        return draw(values)
+
+    def usually() -> bool:
+        """True seven times in eight."""
+        return draw(st.integers(1, 8)) > 1
+
     names = draw(st.lists(st.sampled_from(sorted(params)), unique=True))
-    values = {name: draw(_mostly(_typed_values(params[name]))) for name in names}
-    if kind == "twoslit" and draw(st.booleans()):  # a full custom geometry, often
+    values = {name: mostly(_typed_values(params[name])) for name in names}
+    needs_custom = values.get("preset") == "custom" or any(
+        params[name].when == ("preset", ("custom",)) for name in names
+    )
+    custom = (needs_custom and usually()) or draw(st.booleans())
+    if kind == "twoslit" and custom:  # a full custom geometry
         values["preset"] = "custom"
         for name, plausible in GEOMETRY.items():
-            values[name] = draw(_mostly(_mostly(plausible, extremes), one_in=12))
-    if kind in ("nchannel", "sample") and draw(st.booleans()):  # custom phases, often
+            values[name] = mostly(plausible, st.one_of(extremes, JUNK))
+    if kind in ("nchannel", "sample") and custom:  # custom phases
         thetas, phis = _valid_phases(draw(st.sampled_from([2, 4, 6])))
         values["preset"] = "custom"
+        if usually():  # in place of drawn phases, with a drawn n to match
+            values.update(thetas=thetas, phis=phis)
+            if "n" in values:
+                values["n"] = len(thetas)
         values.setdefault("thetas", thetas)
         values.setdefault("phis", phis)
+    pending = list(values)
+    while pending:  # and the condition each parameter applies under
+        when = params[pending.pop()].when
+        if when and usually():
+            other, allowed = when
+            values[other] = draw(st.sampled_from(allowed))
+            pending.append(other)
 
     argv, file_params = [kind], {}
     for name, value in values.items():
@@ -132,16 +160,17 @@ def invocations(draw):
         else:
             file_params[name] = value
 
+    formats = st.sampled_from(sorted(scenario.formats) if usually() else cli.FORMATS)
     config = None
     if file_params or draw(st.booleans()):
-        config = {"kind": draw(_mostly(st.just(kind))), "parameters": file_params}
+        config = {"kind": mostly(st.just(kind)), "parameters": file_params}
         if draw(st.booleans()):
-            config["output"] = draw(_mostly(st.sampled_from(cli.FORMATS)))
+            config["output"] = mostly(formats)
         if draw(st.booleans()):
             paths = st.sampled_from(["-", "", "artifact.out", "sub/artifact.out"])
-            config["output_path"] = draw(_mostly(paths))
+            config["output_path"] = mostly(paths)
     if draw(st.booleans()):
-        argv.append("--format=" + draw(st.sampled_from(cli.FORMATS)))
+        argv.append("--format=" + draw(formats))
     if draw(st.booleans()):
         argv += ["-o", "-"]
     return argv, config

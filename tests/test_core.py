@@ -10,6 +10,7 @@ from qeraser.analysis import SYSTEM_FIRST, JointTable, joint_distribution
 from qeraser.core import (
     ZERO_PROBABILITY,
     DensityOperator,
+    Distribution,
     PureState,
     checked_probabilities,
     condition_on_system,
@@ -410,15 +411,7 @@ class TestInvariants:
 
 
 def _distribution(values):
-    from qeraser.nchannel import DetectorDistribution
-
-    return DetectorDistribution(values)
-
-
-def _pattern(values):
-    from qeraser.twoslit import ScreenGeometry, ScreenPattern, build_grid
-
-    return ScreenPattern(build_grid(ScreenGeometry(2.0, 1.0, 1000.0, -500.0, 500.0, 4)), values)
+    return Distribution(values)
 
 
 def _table(values):
@@ -427,8 +420,37 @@ def _table(values):
     return JointTable(("a", "b"), ("c", "d"), np.reshape(values, (2, 2)))
 
 
+def _pattern_functions():
+    """Each pattern function of nchannel and twoslit: (call, its condition tag)."""
+    from qeraser import nchannel, twoslit
+
+    state = final_state_marked(default_config(4))
+    grid = twoslit.default_grid()
+    return {
+        "detector_probabilities": (lambda: nchannel.detector_probabilities(state), "none"),
+        "conditioned_distribution": (
+            lambda: nchannel.conditioned_distribution(state, erasure_basis(0.0).plus),
+            "dplus[theta=0]",
+        ),
+        "pattern_no_marker": (lambda: twoslit.pattern_no_marker(grid), "none"),
+        "pattern_marked_unconditioned": (
+            lambda: twoslit.pattern_marked_unconditioned(grid), "none"
+        ),
+        "pattern_conditioned": (
+            lambda: twoslit.pattern_conditioned(grid, 0.0, "minus")[0], "dminus[theta=0]"
+        ),
+    }
+
+
 class TestProbabilityValidator:
-    @pytest.mark.parametrize("build", [_distribution, _pattern, _table])
+    @pytest.mark.parametrize("name", sorted(_pattern_functions()))
+    def test_every_pattern_function_returns_one_type(self, name):
+        call, condition = _pattern_functions()[name]
+        dist = call()
+        assert type(dist) is Distribution
+        assert dist.condition == condition
+
+    @pytest.mark.parametrize("build", [_distribution, _table])
     @pytest.mark.parametrize(
         "values",
         [
@@ -444,7 +466,7 @@ class TestProbabilityValidator:
         with pytest.raises(AssertionError):
             build(values)
 
-    @pytest.mark.parametrize("build", [_distribution, _pattern, _table])
+    @pytest.mark.parametrize("build", [_distribution, _table])
     def test_valid_values_clipped_and_read_only(self, build):
         probs = build([0.5, 0.5 + 1e-13, -1e-13, 0.0]).probabilities
         assert np.min(probs) == 0.0 and not probs.flags.writeable
@@ -482,12 +504,14 @@ class TestRuleErrors:
              ValueError),
             (lambda: DensityOperator(np.diag([0.6, 0.6])), NotNormalizedError, ValueError),
             (lambda: DensityOperator(np.diag([1.5, -0.5])), InvalidDensityError, ValueError),
+            (lambda: Distribution([]), DimensionMismatchError, ValueError),
         ],
         ids=["non-finite", "state-norm", "tensor-norm", "marker-norm", "target-norm",
              "probability-range", "probability-non-finite", "table-shape", "order",
              "system-label-count", "marker-non-finite", "marker-norm-state",
              "marker-vector-size", "negative-draw-count", "basis-not-orthogonal",
-             "density-not-hermitian", "density-trace", "density-negative-eigenvalue"],
+             "density-not-hermitian", "density-trace", "density-negative-eigenvalue",
+             "distribution-empty"],
     )
     def test_rule_error_classes(self, violate, error, builtin):
         with pytest.raises(error) as info:

