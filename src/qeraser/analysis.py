@@ -44,21 +44,27 @@ ORDERS = (MARKER_FIRST, SYSTEM_FIRST)
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Joint probabilities over (system outcome, marker outcome)."""
+    """Joint probabilities over (system outcome, marker outcome).
 
-    row_labels: tuple
+    The labels are kept as tuples, except that a `range` of row labels
+    (the 0-based outcome indices) stays a range: a table over 32768 bins
+    holds no tuple of 32768 ints.
+    """
+
+    row_labels: tuple | range
     col_labels: tuple
     probabilities: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.row_labels, range):
+            object.__setattr__(self, "row_labels", tuple(self.row_labels))
+        object.__setattr__(self, "col_labels", tuple(self.col_labels))
         probs = np.asarray(self.probabilities, dtype=np.float64)
         rows, cols = len(self.row_labels), len(self.col_labels)
         if probs.shape != (rows, cols):
             raise DimensionMismatchError(f"table shape {probs.shape} does not match labels")
         probs = core.checked_probabilities(probs, "joint table entries")
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
 
 def joint_distribution(
@@ -112,8 +118,10 @@ def _joint_table(state, first, second, order, system_labels) -> JointTable:
             table[:, col] = branch * residual.system_probabilities()
     else:
         weights, conditionals = core.condition_on_system(state)
-        basis = np.stack([first.vector, second.vector])
-        table = weights[:, None] * np.abs(conditionals @ basis.conj().T) ** 2
+        overlaps = conditionals @ np.stack([first.vector, second.vector]).conj().T
+        table = np.empty((state.system_dim, 2))
+        for col in range(2):  # column by column: no broadcast over the 2-wide axis
+            np.multiply(weights, np.abs(overlaps[:, col]) ** 2, out=table[:, col])
     return JointTable(system_labels, (first.label, second.label), table)
 
 
@@ -130,11 +138,16 @@ def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
 def mutual_information(table: JointTable) -> float:
     """Mutual information of a joint table in bits, with 0 log 0 = 0."""
     probs = table.probabilities
-    # Column sums on the usual two marker columns: np.sum's bytes, faster.
+    # Column by column: an outer product or a reduction across the 2-wide
+    # marker axis costs more than the logarithms.
     rows = probs[:, 0] + probs[:, 1] if probs.shape[1] == 2 else probs.sum(axis=1)
-    marginals = np.outer(rows, probs.sum(axis=0))
-    live = probs > 0.0
-    return float(np.sum(probs[live] * np.log2(probs[live] / marginals[live])))
+    total = 0.0
+    for col in range(probs.shape[1]):
+        column = probs[:, col]
+        live = column > 0.0
+        cells = column[live]
+        total += float(np.sum(cells * np.log2(cells / (rows[live] * column.sum()))))
+    return total
 
 
 # -- Two-spin pair isomorphic to the marked interferometer ------------------

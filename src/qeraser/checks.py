@@ -126,12 +126,8 @@ def _spin_pair_tables(inputs: _Inputs) -> float:
 def _fringe_width(inputs: _Inputs) -> float:
     grid = inputs.grid
     pattern, _ = twoslit.pattern_conditioned(grid, 0.0, "plus")
-    probs = pattern.probabilities
-    peaks = [
-        k
-        for k in range(1, grid.bins - 1)
-        if probs[k] > probs[k - 1] and probs[k] > probs[k + 1]
-    ]
+    p = pattern.probabilities
+    peaks = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])) + 1
     spacings = np.diff(grid.positions[peaks])
     return float(np.max(np.abs(spacings - grid.geometry.fringe_width)))
 

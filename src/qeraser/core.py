@@ -103,7 +103,7 @@ def checked_probabilities(values, what: str) -> np.ndarray:
 
 
 def _checked_probability(p: float, what: str) -> float:
-    if p < -ATOL or p > 1.0 + ATOL:
+    if not -ATOL <= p <= 1.0 + ATOL:  # a NaN fails too
         raise InvariantError(f"{what} out of range: {p!r}")
     return min(max(p, 0.0), 1.0)
 
@@ -288,16 +288,22 @@ def _row_probability(re1, im1, re2, im2):
     return (re1 * re1 + re2 * re2) + (im1 * im1 + im2 * im2)
 
 
-def _condition_row(block: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """(block / sqrt(p), p) for one marker block, as its row of condition_on_system.
+def _condition_row(c1: complex, c2: complex, what: str) -> tuple[complex, complex, float]:
+    """(c1 / sqrt(p), c2 / sqrt(p), p) for one marker block, as its row of condition_on_system.
 
-    `what` names the outcome in errors. Raises ZeroProbabilityError below ZERO_PROBABILITY.
+    Python floats throughout: each part times 1 / sqrt(p), as the kernel
+    scales its columns. `what` names the outcome in errors. Raises
+    ZeroProbabilityError below ZERO_PROBABILITY.
     """
-    probability = _row_probability(*block.view(np.float64).tolist())
-    if probability < ZERO_PROBABILITY:
+    probability = _row_probability(c1.real, c1.imag, c2.real, c2.imag)
+    if not probability >= ZERO_PROBABILITY:
         raise ZeroProbabilityError(f"{what} has probability {probability!r}")
-    conditional = block / math.sqrt(probability)
-    return conditional, _checked_probability(probability, f"{what} probability")
+    scale = 1.0 / math.sqrt(probability)
+    return (
+        complex(c1.real * scale, c1.imag * scale),
+        complex(c2.real * scale, c2.imag * scale),
+        _checked_probability(probability, f"{what} probability"),
+    )
 
 
 def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, float]:
@@ -309,7 +315,9 @@ def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, flo
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    return _condition_row(state.marker_block(system_index), f"system outcome {system_index}")
+    block = state.marker_block(system_index).tolist()
+    c1, c2, probability = _condition_row(*block, f"system outcome {system_index}")
+    return np.array([c1, c2]), probability
 
 
 def condition_on_system(state: PureState) -> tuple[np.ndarray, np.ndarray]:
@@ -323,15 +331,17 @@ def condition_on_system(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    table = state.amplitudes.reshape(state.system_dim, 2)
-    # Each row as 4 reals (re, im of both components): one sum of squares.
+    # Each row as 4 reals (re, im of both components), handled column by
+    # column: numpy's loops over a length-4 inner axis cost several times more.
     parts = state.amplitudes.view(np.float64).reshape(state.system_dim, 4)
     probabilities = _row_probability(*parts.T)
     live = probabilities >= ZERO_PROBABILITY
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conditionals = table / np.sqrt(probabilities)[:, None]
-    conditionals[~live] = 0.0
     _checked_probability(float(np.max(probabilities)), "system outcome probability")
+    scales = np.divide(1.0, np.sqrt(probabilities), out=np.zeros(state.system_dim), where=live)
+    conditionals = np.empty((state.system_dim, 2), dtype=np.complex128)
+    scaled = conditionals.view(np.float64)
+    for part in range(4):
+        np.multiply(parts[:, part], scales, out=scaled[:, part])
     weights = np.where(live, np.minimum(probabilities, 1.0), 0.0)
     return weights, conditionals
 
@@ -363,6 +373,14 @@ def fidelity_pure(rho: DensityOperator, target) -> float:
 
 
 def overlap_fidelity(vector, target) -> float:
-    """|<target|vector>|^2: fidelity_pure of the pure state |vector><vector|."""
-    value = abs(complex(np.vdot(target, vector))) ** 2
+    """|<target|vector>|^2 of two marker vectors: fidelity_pure of the
+    pure state |vector><vector|."""
+    c1, c2 = _as_complex_vector(vector, 2, "vector").tolist()
+    t1, t2 = _as_complex_vector(target, 2, "target").tolist()
+    return _overlap_fidelity(c1, c2, t1, t2)
+
+
+def _overlap_fidelity(c1: complex, c2: complex, t1: complex, t2: complex) -> float:
+    """|conj(t1) c1 + conj(t2) c2|^2 in Python complex arithmetic, range-checked."""
+    value = abs(t1.conjugate() * c1 + t2.conjugate() * c2) ** 2
     return _checked_probability(value, "fidelity")

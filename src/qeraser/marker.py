@@ -71,6 +71,17 @@ class MarkerState:
         return cls(complex(v[0]), complex(v[1]), label)
 
 
+def _normalized_marker(c1: complex, c2: complex, label: str) -> MarkerState:
+    """MarkerState of two Python complex amplitudes that the caller has
+    already checked to be finite and of unit norm within ATOL.
+
+    Skips MarkerState's checks, as core._normalized_state skips PureState's.
+    """
+    state = object.__new__(MarkerState)
+    state.__dict__.update(c1=c1, c2=c2, label=label)
+    return state
+
+
 class MarkerBasis(NamedTuple):
     """The erasure pair (plus(theta), minus(theta)), orthonormal as built."""
 

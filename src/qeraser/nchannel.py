@@ -31,9 +31,10 @@ from .errors import (
     InvalidConfigError,
     InvariantError,
     LengthMismatchError,
+    NoMarkerError,
     OddChannelCountError,
 )
-from .marker import MarkerState, erasure_basis
+from .marker import MarkerState, _normalized_marker, erasure_basis
 from .rng import SplitMix64, checked_seed
 
 
@@ -192,9 +193,9 @@ def conditioned_distribution(state: core.PureState, marker_state) -> core.Distri
     return core.Distribution(residual.system_probabilities(), label)
 
 
-#: The theta = 0 erasure pair's vectors, against which delayed_marker_state
-#: reports fidelities; built once, as they never change.
-_DPLUS, _DMINUS = (state.vector for state in erasure_basis(0.0))
+#: The theta = 0 erasure pair's amplitudes, against which
+#: delayed_marker_state reports fidelities; built once, as they never change.
+_DPLUS, _DMINUS = ((state.c1, state.c2) for state in erasure_basis(0.0))
 
 
 class DelayedMarker(NamedTuple):
@@ -209,24 +210,31 @@ class DelayedMarker(NamedTuple):
 def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarker:
     """Conditional marker state after detection at detector j (1-based).
 
-    The conditional is read off with core.project_system. For a pure joint
-    state it is itself pure: its purity <c|c>^2, from its two amplitudes,
-    is checked to be 1. Fidelities |<d|c>|^2 against the theta = 0 erasure
-    pair are reported alongside, range-checked and clamped to [0, 1].
-    Raises ZeroProbabilityError for detectors that never fire.
+    The conditional is the row core.condition_on_system gives the detector,
+    computed on the row's two amplitudes alone in Python floats. For a pure
+    joint state it is itself pure: its purity <c|c>^2, from its two
+    amplitudes, is checked to be 1. Fidelities |<d|c>|^2 against the
+    theta = 0 erasure pair are reported alongside, range-checked and
+    clamped to [0, 1]. Raises ZeroProbabilityError for detectors that
+    never fire.
     """
     if not 1 <= detector_j <= state.system_dim:
         raise IndexOutOfRangeError(
             f"detector {detector_j} out of 1..{state.system_dim}"
         )
-    conditional, _ = core.project_system(state, detector_j - 1)
-    c1, c2 = conditional.tolist()
+    if state.marker_dim != 2:
+        raise NoMarkerError("state has no marker to condition")
+    c1, c2, _ = core._condition_row(
+        state.amplitudes.item(2 * detector_j - 2),
+        state.amplitudes.item(2 * detector_j - 1),
+        f"system outcome {detector_j - 1}",
+    )
     p = (abs(c1) ** 2 + abs(c2) ** 2) ** 2
-    if abs(p - 1.0) > core.ATOL:
+    if not abs(p - 1.0) <= core.ATOL:  # a NaN fails too
         raise InvariantError(f"conditional marker of a pure state has purity {p!r}")
     return DelayedMarker(
-        MarkerState(c1, c2, f"detector{detector_j}"),
+        _normalized_marker(c1, c2, f"detector{detector_j}"),
         p,
-        core.overlap_fidelity(conditional, _DPLUS),
-        core.overlap_fidelity(conditional, _DMINUS),
+        core._overlap_fidelity(c1, c2, *_DPLUS),
+        core._overlap_fidelity(c1, c2, *_DMINUS),
     )

@@ -255,14 +255,14 @@ def delayed_marker_state_at(grid: ScreenGrid, bin_k: int) -> ScreenMarker:
     """
     if not 0 <= bin_k < grid.bins:
         raise IndexOutOfRangeError(f"bin {bin_k} out of 0..{grid.bins - 1}")
-    block = _marked_amplitudes(grid, slice(bin_k, bin_k + 1))[0]
-    conditional, _ = core._condition_row(block, f"bin {bin_k}")
-    theta_x = float(grid.theta_x[bin_k])
+    block = _marked_amplitudes(grid, slice(bin_k, bin_k + 1))
+    c1, c2, _ = core._condition_row(block.item(0), block.item(1), f"bin {bin_k}")
+    theta_x = grid.theta_x.item(bin_k)
     target = erasure_basis(theta_x).plus
     return ScreenMarker(
         theta_x,
-        MarkerState.from_vector(conditional, f"bin{bin_k}"),
-        core.overlap_fidelity(conditional, target.vector),
+        MarkerState(c1, c2, f"bin{bin_k}"),
+        core._overlap_fidelity(c1, c2, target.c1, target.c2),
     )
 
 

@@ -406,6 +406,17 @@ class TestMutualInformation:
             expected = loop_mutual_information(table.probabilities)
             assert mutual_information(table) == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_cell_loop_at_screen_size(self):
+        """32768 rows, zero cells in each column and one all-zero row."""
+        rng = np.random.default_rng(16)
+        probs = rng.random((32768, 2))
+        probs[rng.random((32768, 2)) < 0.2] = 0.0
+        probs[12345] = 0.0
+        assert np.all(np.any(probs == 0.0, axis=0))
+        table = analysis.JointTable(range(32768), ("c", "d"), probs / probs.sum())
+        expected = loop_mutual_information(table.probabilities)
+        assert mutual_information(table) == pytest.approx(expected, abs=1e-12)
+
     def test_zero_times_log_zero_convention(self):
         table = analysis.JointTable(("a", "b"), ("c", "d"), np.array([[0.5, 0.0], [0.0, 0.5]]))
         assert mutual_information(table) == pytest.approx(1.0, abs=1e-12)

@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from qeraser import _svg, analysis, checks, cli, core, twoslit
+from qeraser import _svg, analysis, checks, cli, core, marker, twoslit
 from qeraser.errors import ValidationError
 
 
@@ -544,6 +544,23 @@ class TestStreamedPatterns:
         for emit in (cli.emit_pattern_csv, cli.emit_pattern_json, cli.emit_pattern_svg):
             with pytest.raises(ValidationError):
                 emit(payload, "{}")
+
+    @pytest.mark.parametrize("order", analysis.ORDERS)
+    def test_range_row_labels_write_the_bytes_of_a_tuple(self, order):
+        """A memoized table's range of row labels reads like the tuple it replaces."""
+        state = twoslit.marked_state(twoslit.default_grid())
+        basis = marker.erasure_basis(0.8)
+        labels = tuple(range(state.system_dim))
+        memoized = analysis.joint_distribution(state, basis, order)
+        listed = analysis.joint_distribution(state, basis, order, system_labels=labels)
+        assert isinstance(memoized.row_labels, range) and listed.row_labels == labels
+        for emit in (cli.emit_joint_csv, cli.emit_joint_json):
+            assert "".join(emit(memoized, "{}")) == "".join(emit(listed, "{}"))
+        logs = [
+            "".join(analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels))
+            for system_labels in (None, labels)
+        ]
+        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_peak_memory_grows_little_with_bins(self, tmp_path, fmt):

@@ -71,6 +71,31 @@ class TestHits:
         assert marked_state(grid) is state
 
 
+class TestRangeLabels:
+    """A memoized table keeps its 0-based row labels as a range."""
+
+    def test_memoized_and_fresh_tables_compare_equal(self):
+        state = marked_state(wide_grid())
+        for order in ORDERS:
+            memoized = joint_distribution(state, erasure_basis(0.6), order)
+            fresh = joint_distribution(
+                state, erasure_basis(0.6), order, system_labels=range(state.system_dim)
+            )
+            assert memoized.row_labels == range(state.system_dim)
+            assert isinstance(fresh.row_labels, tuple)
+            assert tuple(memoized.row_labels) == fresh.row_labels
+            assert memoized.col_labels == fresh.col_labels
+            assert memoized.probabilities.tobytes() == fresh.probabilities.tobytes()
+
+    def test_only_a_range_stays_a_range(self):
+        probs = np.full((3, 2), 1.0 / 6.0)
+        assert analysis.JointTable(range(3), ("a", "b"), probs).row_labels == range(3)
+        for labels in ([0, 1, 2], (n for n in range(3)), np.arange(3)):
+            table = analysis.JointTable(labels, iter(("a", "b")), probs)
+            assert table.row_labels == (0, 1, 2)
+            assert table.col_labels == ("a", "b")
+
+
 class TestNothingIsKept:
     def test_dropped_state_and_table_die(self):
         grid = wide_grid()

@@ -301,6 +301,43 @@ class TestDelayedMode:
             delayed_marker_state(dark, 2)
 
 
+class TestScalarDelayedPath:
+    """delayed_marker_state reads one row in Python floats, as the kernel's row."""
+
+    def test_bare_state_has_no_marker(self):
+        with pytest.raises(NoMarkerError):
+            delayed_marker_state(final_state_bare(default_config(10)), 1)
+
+    def test_dark_detector_raises(self):
+        # Detector 2 never fires: its two amplitudes are zero.
+        state = core.make_state((3, 2), [1, 1j, 0, 0, 0.5, -0.5])
+        with pytest.raises(ZeroProbabilityError):
+            delayed_marker_state(state, 2)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            final_state_marked(default_config(10)),
+            core.make_state((4, 2), [0.3, -0.2j, 0, 0, -1e-3, 0.7 + 0.1j, 0, -0.4]),
+        ],
+        ids=["default_config(10)", "dark-row"],
+    )
+    def test_bits_equal_kernel_rows(self, state):
+        weights, conditionals = core.condition_on_system(state)
+        for j in range(1, state.system_dim + 1):
+            if weights[j - 1] == 0.0:
+                with pytest.raises(ZeroProbabilityError):
+                    delayed_marker_state(state, j)
+                continue
+            result = delayed_marker_state(state, j)
+            assert result.marker_state.vector.tobytes() == conditionals[j - 1].tobytes()
+            assert result.marker_state == marker.MarkerState(*conditionals[j - 1], f"detector{j}")
+            plus, minus = erasure_basis(0.0)
+            assert result.fidelity_dplus == core.overlap_fidelity(conditionals[j - 1], plus)
+            assert result.fidelity_dminus == core.overlap_fidelity(conditionals[j - 1], minus)
+        assert np.any(weights == 0.0) == (state.system_dim == 4)
+
+
 class TestOracleEquivalence:
     def test_random_configs_match_brute_force(self):
         for k in range(20):
