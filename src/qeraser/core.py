@@ -62,11 +62,11 @@ def _as_complex_vector(values, length: int | None = None, name: str = "vector") 
 
 
 def _squared_norm(vec: np.ndarray) -> float:
-    """sum |v_i|^2 as numpy's pairwise sum, in blocks.
+    """sum |v_i|^2: numpy's pairwise sum over fixed blocks, and the block
+    sums added exactly by math.fsum.
 
-    A BLAS dot product accumulates enough rounding error at ~10^5
-    amplitudes to miss the 1e-12 check on one thread, and blocks keep the
-    squared copy small.
+    No BLAS call is made, so the bits depend on the vector alone and not on
+    the BLAS thread count; blocks keep the squared copy small.
     """
     parts = np.ascontiguousarray(vec).view(np.float64)
     return math.fsum(
@@ -74,13 +74,19 @@ def _squared_norm(vec: np.ndarray) -> float:
     )
 
 
+def _exactly_normalized(unit: np.ndarray, name: str = "state") -> np.ndarray:
+    """unit, once its exact squared norm is 1 within ATOL: PureState's
+    state check. Raises NotNormalizedError otherwise.
+    """
+    sq_norm = _squared_norm(unit)
+    if not abs(sq_norm - 1.0) <= ATOL:  # an infinity or a NaN fails too
+        raise NotNormalizedError(f"{name} is not normalized: squared norm = {sq_norm!r}")
+    return unit
+
+
 def _unit_vector(values, length: int | None, name: str) -> np.ndarray:
     """Finite complex vector of unit norm (within ATOL) and the given length."""
-    vec = _as_complex_vector(values, length, name)
-    sq_norm = _squared_norm(vec)
-    if abs(sq_norm - 1.0) > ATOL:
-        raise NotNormalizedError(f"{name} is not normalized: squared norm = {sq_norm!r}")
-    return vec
+    return _exactly_normalized(_as_complex_vector(values, length, name), name)
 
 
 def checked_probabilities(values, what: str) -> np.ndarray:
@@ -125,16 +131,11 @@ class Distribution:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized pure state over a (system_dim x marker_dim) product basis.
-
-    `normalization` records the Euclidean norm that `make_state` divided
-    out of the raw amplitudes (1.0 when constructed pre-normalized).
-    """
+    """Normalized pure state over a (system_dim x marker_dim) product basis."""
 
     system_dim: int
     marker_dim: int
     amplitudes: np.ndarray
-    normalization: float = 1.0
 
     def __post_init__(self):
         _check_dims(self.system_dim, self.marker_dim)
@@ -163,9 +164,7 @@ def _check_dims(system_dim: int, marker_dim: int) -> None:
         raise DimensionMismatchError("marker dimension must be 1 or 2")
 
 
-def _normalized_state(
-    system_dim: int, marker_dim: int, unit: np.ndarray, normalization: float = 1.0
-) -> PureState:
+def _normalized_state(system_dim: int, marker_dim: int, unit: np.ndarray) -> PureState:
     """PureState around `unit`, a fresh vector of length system_dim *
     marker_dim that _exactly_normalized returned.
 
@@ -176,9 +175,7 @@ def _normalized_state(
     _check_dims(system_dim, marker_dim)
     unit.setflags(write=False)
     state = object.__new__(PureState)
-    state.__dict__.update(
-        system_dim=system_dim, marker_dim=marker_dim, amplitudes=unit, normalization=normalization
-    )
+    state.__dict__.update(system_dim=system_dim, marker_dim=marker_dim, amplitudes=unit)
     return state
 
 
@@ -229,58 +226,46 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def _exactly_normalized(unit: np.ndarray) -> tuple[np.ndarray, float]:
-    """(unit / scale, scale) for a vector just divided by a BLAS norm.
-
-    On one BLAS thread a BLAS norm or dot product can miss the exact
-    squared norm by more than ATOL from ~6 x 10^5 amplitudes. scale is the
-    exact norm when the exact squared norm misses 1 by more than ATOL / 2,
-    and 1.0 otherwise, so that every other vector keeps its bytes. The
-    result passes PureState's state check: a NaN or infinity fails the
-    first test, and a rescaled vector is checked in full.
-    """
-    sq_norm = _squared_norm(unit)
-    if abs(sq_norm - 1.0) <= ATOL / 2:
-        return unit, 1.0
-    scale = math.sqrt(sq_norm)
-    return _unit_vector(unit / scale, None, "state"), scale
-
-
 def make_state(dims: tuple[int, int], amplitudes) -> PureState:
     """Build a normalized state from raw amplitudes.
 
-    The input is copied, normalized, and the divided-out norm recorded on
-    the returned state. Raises ZeroNormError when every amplitude is zero
+    The input is copied and divided by its norm; the caller's array is
+    never changed. Any finite nonzero vector is accepted, however large or
+    small its entries. Raises ZeroNormError when every amplitude is zero
     and DimensionMismatchError when the vector length disagrees with dims.
     """
     system_dim, marker_dim = int(dims[0]), int(dims[1])
     vec = _as_complex_vector(amplitudes, system_dim * marker_dim, "amplitudes")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    parts = np.ascontiguousarray(vec).view(np.float64)
+    largest = max(float(parts.max()), -float(parts.min()))
+    if largest == 0.0:
         raise ZeroNormError("cannot normalize the zero vector")
-    unit, scale = _exactly_normalized(vec / norm)
-    return _normalized_state(system_dim, marker_dim, unit, norm * scale)
+    # Dividing by the power of two of the largest part is exact, and leaves
+    # a squared norm in [1/4, 2n): no square underflows or overflows.
+    scaled = np.ldexp(parts, -math.frexp(largest)[1]).view(np.complex128)
+    scaled *= 1.0 / math.sqrt(_squared_norm(scaled))  # the bits of vec / norm
+    return _normalized_state(system_dim, marker_dim, _exactly_normalized(scaled))
 
 
 def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
     """Project the marker onto a 2-component state.
 
     Returns (residual system state, probability): the partial inner
-    product <m|psi> renormalized, with make_state's exact-norm correction,
-    and its squared norm as one BLAS vdot, apart from the system-first
-    formula. Raises NoMarkerError for marker-free states and
-    ZeroProbabilityError below ZERO_PROBABILITY.
+    product <m|psi> divided by its norm, and its exact squared norm, summed
+    over the whole residual rather than row by row as system-first is. Raises
+    NoMarkerError for marker-free states and ZeroProbabilityError below
+    ZERO_PROBABILITY.
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to project")
     mv = _unit_vector(marker_state, 2, "marker state")
     partial = state.amplitudes.reshape(state.system_dim, 2) @ mv.conj()
-    probability = float(np.real(np.vdot(partial, partial)))
+    probability = _squared_norm(partial)
     if probability < ZERO_PROBABILITY:
         raise ZeroProbabilityError(f"marker projection has probability {probability!r}")
-    residual, _ = _exactly_normalized(partial / np.sqrt(probability))
+    partial /= math.sqrt(probability)
     probability = _checked_probability(probability, "marker projection probability")
-    return _normalized_state(state.system_dim, 1, residual), probability
+    return _normalized_state(state.system_dim, 1, _exactly_normalized(partial)), probability
 
 
 def _row_probability(re1, im1, re2, im2):

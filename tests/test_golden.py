@@ -46,7 +46,7 @@ CASES = {
     ),
     "twoslit-json": (
         ["twoslit", "--theta", "0.25", "--sign", "minus", "--format", "json"], None,
-        "df7d127dd928cbf36afcf7305b717c56abcdb7ff61ccc4d067d4a649bca56289",
+        "6a5d233b3520b33add18b4f95a17e34f476f98db518ece39dc4da06f481ff6b6",
     ),
     "twoslit-svg": (
         ["twoslit", "--kind", "bare", "--format", "svg"], None,
@@ -59,7 +59,7 @@ CASES = {
     "twoslit-custom-gaussian": (
         ["twoslit", *CUSTOM_SCREEN, "--envelope", "gaussian", "--sigma", "40",
          "--theta", "0.3", "--sign", "minus", "--format", "csv"], None,
-        "8c4baa9e6a8a84bdcc1cb76373cd67fa837d6307e0d45fceb708f754d3eb8fa9",
+        "1cc432c1ef04f48081ae540d6b64e86fdbe8844535311878722b2b043d68538f",
     ),
     "epr-csv": (
         ["epr", "--basis1", "x", "--basis2", "x", "--format", "csv"], None,

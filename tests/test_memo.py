@@ -46,7 +46,6 @@ class TestHits:
         fresh = marked_state(wide_grid())
         assert fresh is not state
         assert fresh.amplitudes.tobytes() == state.amplitudes.tobytes()
-        assert fresh.normalization == state.normalization
 
     def test_joint_table_is_built_once_while_held(self):
         state = marked_state(wide_grid())
@@ -179,7 +178,6 @@ class TestRoundTrips:
                 assert (copied.system_dim, copied.marker_dim) == (
                     original.system_dim, original.marker_dim
                 )
-                assert copied.normalization == original.normalization
                 assert copied.amplitudes.tobytes() == original.amplitudes.tobytes()
         for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
             assert (copied.row_labels, copied.col_labels) == (table.row_labels, table.col_labels)

@@ -93,7 +93,7 @@ class TestConfig:
             second = random_config(n, seed=100 + n)
             assert np.array_equal(first.thetas, second.thetas)
             assert np.array_equal(first.phis, second.phis)
-            assert first.residual < 1e-12
+            assert validate_config(first.thetas, first.phis) < 1e-12
         other = random_config(6, seed=1)
         assert not np.array_equal(other.phis, random_config(6, seed=2).phis)
 
@@ -123,12 +123,12 @@ class TestConfig:
         """2n - 2 uniforms, whatever the seed: the tail is repaired, never resampled."""
         config, drawn = self.counted_random_config(n, seed)
         assert drawn == 2 * n - 2
-        assert config.residual < core.UNITARITY_TOL
+        assert validate_config(config.thetas, config.phis) < core.UNITARITY_TOL
 
     def test_random_config_at_1e5_channels(self):
         config, drawn = self.counted_random_config(100_000, 12345)
         assert drawn == 2 * 100_000 - 2
-        assert config.residual < core.UNITARITY_TOL
+        assert validate_config(config.thetas, config.phis) < core.UNITARITY_TOL
 
 
 class TestBareState:
