@@ -22,7 +22,6 @@ table driven by the splitmix64 stream specified in `rng`, so identical
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -35,6 +34,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
+from .marker import SQRT_HALF, erasure_basis, which_path_basis
 from .rng import SplitMix64, checked_seed
 
 MARKER_FIRST = "marker_first"
@@ -152,13 +152,9 @@ def mutual_information(table: JointTable) -> float:
 
 # -- Two-spin pair isomorphic to the marked interferometer ------------------
 
-_SQ = 1.0 / math.sqrt(2.0)
 _SPIN_BASES = {
-    "z": (("up", "down"), np.eye(2, dtype=np.complex128)),
-    "x": (
-        ("plus", "minus"),
-        np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=np.complex128),
-    ),
+    "z": (("up", "down"), which_path_basis()),
+    "x": (("plus", "minus"), erasure_basis(0.0)),
 }
 
 
@@ -169,7 +165,7 @@ def epr_state() -> core.PureState:
     relabeling path A/B -> spin-1 up/down, d1/d2 -> spin-2 up/down; the
     same state reads (|+,+> + |-,->) / sqrt(2) in the x eigenbases.
     """
-    return core.PureState(2, 2, np.array([_SQ, 0.0, 0.0, _SQ]))
+    return core.PureState(2, 2, np.array([SQRT_HALF, 0.0, 0.0, SQRT_HALF]))
 
 
 def epr_correlation_table(basis1: str, basis2: str) -> JointTable:
@@ -179,15 +175,15 @@ def epr_correlation_table(basis1: str, basis2: str) -> JointTable:
     bases give the uniform 1/4 table, carrying zero mutual information.
     """
     try:
-        labels1, vecs1 = _SPIN_BASES[basis1]
-        labels2, vecs2 = _SPIN_BASES[basis2]
+        labels1, pair1 = _SPIN_BASES[basis1]
+        labels2, pair2 = _SPIN_BASES[basis2]
     except KeyError as exc:
         raise ValidationError(f"unknown spin basis {exc.args[0]!r}") from None
     psi = epr_state().amplitudes.reshape(2, 2)
     table = np.empty((2, 2))
     for a in range(2):
         for b in range(2):
-            amplitude = complex(vecs1[a].conj() @ psi @ vecs2[b].conj())
+            amplitude = complex(pair1[a].vector.conj() @ psi @ pair2[b].vector.conj())
             table[a, b] = abs(amplitude) ** 2
     return JointTable(labels1, labels2, table)
 

@@ -249,14 +249,8 @@ def _nchannel_config(params) -> nchannel.PhaseConfig:
     return nchannel.PhaseConfig(n, thetas, phis)
 
 
-def _marker_for(condition: str, theta: float):
-    d1, d2 = which_path_basis()
-    if condition == "d1":
-        return d1
-    if condition == "d2":
-        return d2
-    basis = erasure_basis(theta)
-    return basis.plus if condition == "dplus" else basis.minus
+def _marker_pair(name: str, theta: float):
+    return which_path_basis() if name in ("whichpath", "d1", "d2") else erasure_basis(theta)
 
 
 def _run_nchannel(params):
@@ -267,11 +261,10 @@ def _run_nchannel(params):
     if condition == "none":
         dist = nchannel.detector_probabilities(state)
     else:
-        dist = nchannel.conditioned_distribution(
-            state, _marker_for(condition, float(params["theta"]))
-        )
+        pair = _marker_pair(condition, float(params["theta"]))
+        dist = nchannel.conditioned_distribution(state, pair[condition in ("d2", "dminus")])
     payload = {
-        "x": list(range(1, phase_config.n + 1)),
+        "x": np.arange(1, phase_config.n + 1),
         "p": dist.probabilities,
         "condition": dist.condition,
         "x_label": "detector",
@@ -325,32 +318,28 @@ def _run_epr(params):
     return table, f"epr_{params['basis1']}{params['basis2']}"
 
 
-def _sample_state_and_basis(params):
-    scenario = params["scenario"]
-    theta = float(params["theta"])
-    basis = which_path_basis() if params["basis"] == "whichpath" else erasure_basis(theta)
-    if scenario == "nchannel":
-        phase_config = _nchannel_config(params)
-        state = nchannel.final_state_marked(phase_config)
-        labels = list(range(1, phase_config.n + 1))
-        tag = f"nchannel-n{phase_config.n}-{params['preset']}"
-    elif scenario == "twoslit":
-        grid = twoslit.default_grid()
-        state = twoslit.marked_state(grid)
-        labels = list(range(grid.bins))
-        tag = "twoslit-default"
-    else:
-        state = analysis.epr_state()
-        labels = [0, 1]
-        tag = "epr"
-    return state, basis, labels, f"{tag}-{params['basis']}-theta{theta:g}"
+def _nchannel_model(params):
+    config = _nchannel_config(params)
+    tag = f"nchannel-n{config.n}-{params['preset']}"
+    return nchannel.final_state_marked(config), range(1, config.n + 1), tag
+
+
+#: sample's models: scenario -> params -> (marked state, system labels, id tag).
+#: No labels means the 0-based outcome indices, and joint_distribution's memo.
+_MODELS = {
+    "nchannel": _nchannel_model,
+    "twoslit": lambda _: (twoslit.marked_state(twoslit.default_grid()), None, "twoslit-default"),
+    "epr": lambda _: (analysis.epr_state(), None, "epr"),
+}
 
 
 def _run_sample(params):
-    state, basis, labels, derived_id = _sample_state_and_basis(params)
-    scenario_id = params["scenario_id"] or derived_id
+    state, labels, tag = _MODELS[params["scenario"]](params)
+    theta = float(params["theta"])
+    pair = _marker_pair(params["basis"], theta)
+    scenario_id = params["scenario_id"] or f"{tag}-{params['basis']}-theta{theta:g}"
     rows = analysis.event_log_chunks(
-        state, basis, params["order"], params["count"], params["seed"], scenario_id, labels
+        state, pair, params["order"], params["count"], params["seed"], scenario_id, labels
     )
     return rows, f"events_{scenario_id}"
 
@@ -411,7 +400,7 @@ SCENARIOS = {
         "joint tables render as csv or json, not svg",
     ),
     "sample": Scenario(
-        (Param("scenario", default="nchannel", choices=("nchannel", "twoslit", "epr")),)
+        (Param("scenario", default="nchannel", choices=tuple(_MODELS)),)
         + tuple(p._replace(when=p.when or ("scenario", ("nchannel",))) for p in _PHASE_PARAMS)
         + (
             Param("basis", default="erasure", choices=("whichpath", "erasure")),

@@ -20,12 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ATOL
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    NonFinitePhaseError,
-    NotNormalizedError,
-)
+from .errors import NonFiniteError, NonFinitePhaseError, NotNormalizedError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -62,13 +57,6 @@ class MarkerState:
 
     def squared_overlap(self, other: "MarkerState") -> float:
         return abs(self.overlap(other)) ** 2
-
-    @classmethod
-    def from_vector(cls, vec, label: str = "marker") -> "MarkerState":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        if v.size != 2:
-            raise DimensionMismatchError("marker vector must have two components")
-        return cls(complex(v[0]), complex(v[1]), label)
 
 
 def _normalized_marker(c1: complex, c2: complex, label: str) -> MarkerState:

@@ -514,8 +514,6 @@ class TestRuleErrors:
              DimensionMismatchError, ValueError),
             (lambda: MarkerState(math.inf, 0.0), NonFiniteError, ValueError),
             (lambda: MarkerState(1.0, 1.0), NotNormalizedError, ValueError),
-            (lambda: MarkerState.from_vector([1.0, 0.0, 0.0]), DimensionMismatchError,
-             ValueError),
             (lambda: SplitMix64(1).uint64s(-1), InvalidCountError, ValueError),
             (lambda: joint_distribution(ENTANGLED, (erasure_basis(0.0).plus,) * 2, SYSTEM_FIRST),
              ValidationError, ValueError),
@@ -528,7 +526,7 @@ class TestRuleErrors:
         ids=["non-finite", "state-norm", "tensor-norm", "marker-norm", "target-norm",
              "probability-range", "probability-non-finite", "table-shape", "order",
              "system-label-count", "marker-non-finite", "marker-norm-state",
-             "marker-vector-size", "negative-draw-count", "basis-not-orthogonal",
+             "negative-draw-count", "basis-not-orthogonal",
              "density-not-hermitian", "density-trace", "density-negative-eigenvalue",
              "distribution-empty"],
     )

@@ -109,6 +109,16 @@ for _scenario, _extra in (("nchannel", ["--n", "6"]), ("twoslit", []), ("epr", [
 
 CHECK_STDOUT_SHA256 = "4c0db6ace7879b3101d65706fbd4a8608b7e184dd99d9bfc465ebbfd587b6799"
 
+# command -> sha256 of its --help text at 80 columns (argparse of Python 3.11)
+HELP_SHA256 = {
+    "qeraser": "3d4ad07e7e3572b9f97adffc7a746df9a7bc24f8225f30af8fa15f2c885946b1",
+    "qeraser nchannel": "ee17ae64f93c5b8b797d26c8cc1cab67bae3c4b18b9262d50e3cc38eb3a5af0f",
+    "qeraser twoslit": "ef2bdab88378b7ed1802afec3d30a154705f5d565dcbef4262194bb597b56a4d",
+    "qeraser epr": "0653f45deaa268d2d509c81cdcd01ca4628936ee24ea0001206e08caf273e99b",
+    "qeraser sample": "1329d8f24cf11165f0ae9092c38fb7b0ce85a9b5d662b4a00dfac80b198b2257",
+    "qeraser check": "16c3871099c6b46a715dd1736a0f58629166a21f27a9d237037841abdca11564",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -134,3 +144,12 @@ def test_artifact_bytes_unchanged(name, tmp_path, capsys):
 def test_check_stdout_unchanged(capsys):
     assert cli.main(["check"]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == CHECK_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command.split()[1:], "--help"])
+    assert info.value.code == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == HELP_SHA256[command]

@@ -101,5 +101,3 @@ def test_marker_state_must_be_normalized():
 def test_marker_state_array_protocol():
     d1, _ = which_path_basis()
     assert np.array_equal(np.asarray(d1, dtype=complex), [1, 0])
-    roundtrip = MarkerState.from_vector([SQ, 1j * SQ])
-    assert roundtrip.c2 == 1j * SQ
