@@ -143,13 +143,6 @@ class PureState:
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 
-    def marker_block(self, system_index: int) -> np.ndarray:
-        """Contiguous marker amplitudes of one system outcome (copy)."""
-        if not 0 <= system_index < self.system_dim:
-            raise IndexOutOfRangeError(f"system index {system_index} out of range")
-        start = system_index * self.marker_dim
-        return self.amplitudes[start : start + self.marker_dim].copy()
-
     def system_probabilities(self) -> np.ndarray:
         """Probability of each system outcome, marker summed over."""
         sq = np.abs(self.amplitudes.reshape(self.system_dim, self.marker_dim)) ** 2
@@ -300,8 +293,13 @@ def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, flo
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    block = state.marker_block(system_index).tolist()
-    c1, c2, probability = _condition_row(*block, f"system outcome {system_index}")
+    if not 0 <= system_index < state.system_dim:
+        raise IndexOutOfRangeError(f"system index {system_index} out of range")
+    c1, c2, probability = _condition_row(
+        state.amplitudes.item(2 * system_index),
+        state.amplitudes.item(2 * system_index + 1),
+        f"system outcome {system_index}",
+    )
     return np.array([c1, c2]), probability
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +61,8 @@ class ScreenGeometry:
             raise InvalidGeometryError("d, wavelength and L must be positive")
         if not self.x_min < self.x_max:
             raise InvalidGeometryError("x_min must be below x_max")
+        if isinstance(self.bins, bool) or not isinstance(self.bins, (int, np.integer)):
+            raise InvalidGeometryError(f"bins must be an integer, got {self.bins!r}")
         if self.bins < 2:
             raise InvalidGeometryError("need at least two bins")
         if self.bins > core.MAX_SIZE:
@@ -97,36 +99,36 @@ def default_geometry() -> ScreenGeometry:
     return ScreenGeometry(2.0, 1.0, 1000.0, -2.0 * w, 2.0 * w, 512)
 
 
+def _lattice(geometry: ScreenGeometry) -> np.ndarray:
+    """Sample positions x_k = x_min + k * dx, k = 0 .. bins - 1."""
+    return geometry.x_min + np.arange(geometry.bins) * geometry.dx
+
+
 @dataclass(frozen=True, eq=False)
 class ScreenGrid:
-    """Discretized screen: sample positions, phases, normalized envelope."""
+    """Discretized screen: a geometry and an envelope normalized on it. The
+    positions x_k and phases theta_x = phase_scale * x_k follow from the geometry."""
 
     geometry: ScreenGeometry
-    positions: np.ndarray
-    theta_x: np.ndarray
     envelope: np.ndarray
+    positions: np.ndarray = field(init=False)
+    theta_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64).copy()
         env = np.asarray(self.envelope, dtype=np.float64).copy()
-        theta = np.asarray(self.theta_x, dtype=np.float64).copy()
-        bins = self.geometry.bins
-        if pos.size != bins or env.size != bins or theta.size != bins:
-            raise InvalidGeometryError("grid arrays must match the bin count")
+        if env.shape != (self.bins,):
+            raise InvalidGeometryError("envelope must be a vector with one entry per bin")
         if not np.all(np.isfinite(env)):
             raise InvalidGeometryError("envelope must be finite")
         if np.min(env) < 0:
             raise InvalidGeometryError("envelope must be non-negative")
-        expected = self.geometry.phase_scale * pos
-        if not np.array_equal(theta, expected):
-            raise InvalidGeometryError("theta_x must equal pi*x*d/(wavelength*L)")
         if abs(float(np.sum(env**2)) * self.dx - 1.0) > core.SUM_ATOL:
             raise InvalidGeometryError("envelope is not normalized on the grid")
-        for arr in (pos, env, theta):
+        pos = _lattice(self.geometry)
+        theta = self.geometry.phase_scale * pos
+        for name, arr in (("positions", pos), ("envelope", env), ("theta_x", theta)):
             arr.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "envelope", env)
-        object.__setattr__(self, "theta_x", theta)
+            object.__setattr__(self, name, arr)
 
     @property
     def bins(self) -> int:
@@ -151,26 +153,24 @@ def build_grid(
     Raises InvalidGeometryError when the sampled envelope has zero or
     non-finite norm, e.g. a gaussian that underflows on every bin.
     """
-    dx = geometry.dx
-    positions = geometry.x_min + np.arange(geometry.bins) * dx
-    theta_x = geometry.phase_scale * positions
     if envelope == "flat":
         env = np.ones(geometry.bins)
     elif envelope == "gaussian":
         if sigma is None or not math.isfinite(sigma) or sigma <= 0:
             raise InvalidGeometryError("gaussian envelope requires sigma > 0")
+        x = _lattice(geometry)
         # A tiny sigma can overflow or divide by zero; the norm check rejects that.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            env = np.exp(-(positions**2) / (4.0 * sigma * sigma))
+            env = np.exp(-(x**2) / (4.0 * sigma * sigma))
     else:
         raise InvalidGeometryError(f"unknown envelope kind {envelope!r}")
-    norm_sq = float(np.sum(env**2)) * dx
+    norm_sq = float(np.sum(env**2)) * geometry.dx
     if not (math.isfinite(norm_sq) and norm_sq > 0.0):
         raise InvalidGeometryError(
             f"envelope has squared norm {norm_sq!r} on the grid; widen sigma or move the screen"
         )
     env = env / math.sqrt(norm_sq)
-    return ScreenGrid(geometry, positions, theta_x, env)
+    return ScreenGrid(geometry, env)
 
 
 def default_grid() -> ScreenGrid:

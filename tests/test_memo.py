@@ -209,9 +209,8 @@ def screens(draw):
         st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=bins, max_size=bins
     )))
     raw[draw(st.integers(0, bins - 1))] = 1.0
-    positions = geometry.x_min + np.arange(bins) * geometry.dx
     envelope = raw / math.sqrt(float(np.sum(raw**2)) * geometry.dx)
-    return ScreenGrid(geometry, positions, geometry.phase_scale * positions, envelope)
+    return ScreenGrid(geometry, envelope)
 
 
 class TestMarkedAmplitudes:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import conditioned_screen_joint
 from qeraser import analysis, core
@@ -66,6 +68,24 @@ class TestGeometry:
         with pytest.raises(InvalidGeometryError):
             ScreenGeometry(1.0, 1.0, 1.0, 0.0, 1.0, core.MAX_SIZE + 1)
 
+    @pytest.mark.parametrize("bins", [512.0, 512.5, "512", None, True])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(InvalidGeometryError, match="integer"):
+            ScreenGeometry(2.0, 1.0, 1000.0, -1000.0, 1000.0, bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        geometry = ScreenGeometry(2.0, 1.0, 1000.0, -1000.0, 1000.0, np.int64(512))
+        assert build_grid(geometry).positions.tobytes() == GRID.positions.tobytes()
+
+
+@st.composite
+def geometries(draw):
+    """Screens of 2 to 4096 bins with random extents and slit parameters."""
+    x_min = draw(st.floats(-1e6, 1e6))
+    x_max = x_min + draw(st.floats(1e-3, 1e6))
+    d, wavelength, length = (draw(st.floats(0.1, 10.0)) for _ in range(3))
+    return ScreenGeometry(d, wavelength, length, x_min, x_max, draw(st.integers(2, 4096)))
+
 
 class TestGrid:
     def test_flat_envelope_is_uniform_density(self):
@@ -97,11 +117,37 @@ class TestGrid:
         with pytest.raises(InvalidGeometryError, match="norm"):
             build_grid(geometry, "gaussian", sigma=1e-3)
 
+    @settings(max_examples=100)
+    @given(geometries(), st.sampled_from(["flat", "gaussian"]), st.floats(0.5, 4.0))
+    def test_positions_and_phases_follow_the_geometry(self, geometry, kind, width):
+        sigma = width * max(abs(geometry.x_min), abs(geometry.x_max))
+        grid = build_grid(geometry, kind, sigma)
+        positions = geometry.x_min + np.arange(geometry.bins) * geometry.dx
+        assert grid.positions.tobytes() == positions.tobytes()
+        assert grid.theta_x.tobytes() == (geometry.phase_scale * positions).tobytes()
+
+    def test_grid_takes_only_geometry_and_envelope(self):
+        with pytest.raises(TypeError):
+            ScreenGrid(GRID.geometry, GRID.positions, GRID.theta_x, GRID.envelope)
+        with pytest.raises(TypeError):
+            ScreenGrid(GRID.geometry, GRID.envelope, positions=GRID.positions)
+        grid = ScreenGrid(GRID.geometry, GRID.envelope)
+        for values in (grid.positions, grid.theta_x, grid.envelope):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(511,), (513,), (16, 32)])
+    def test_envelope_must_be_one_entry_per_bin(self, shape):
+        env = np.resize(GRID.envelope, shape)
+        with pytest.raises(InvalidGeometryError, match="one entry per bin"):
+            ScreenGrid(GRID.geometry, env)
+
     def test_non_finite_envelope_rejected(self):
         env = GRID.envelope.copy()
         env[3] = float("nan")
         with pytest.raises(InvalidGeometryError, match="finite"):
-            ScreenGrid(GRID.geometry, GRID.positions, GRID.theta_x, env)
+            ScreenGrid(GRID.geometry, env)
 
 
 class TestPatterns:
@@ -242,7 +288,7 @@ class TestDelayedMode:
         env = np.ones(512)
         env[:256] = 0.0
         env = env / math.sqrt(float(np.sum(env**2)) * GRID.dx)
-        grid = ScreenGrid(GRID.geometry, GRID.positions, GRID.theta_x, env)
+        grid = ScreenGrid(GRID.geometry, env)
         with pytest.raises(ZeroProbabilityError):
             delayed_marker_state_at(grid, 0)
 
