@@ -35,7 +35,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .marker import SQRT_HALF, erasure_basis, which_path_basis
-from .rng import SplitMix64, checked_seed
+from .rng import SplitMix64, checked_seed, unit_floats
 
 MARKER_FIRST = "marker_first"
 SYSTEM_FIRST = "system_first"
@@ -205,7 +205,7 @@ class EventRecord(NamedTuple):
 EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
 #: Events drawn, and rows of an event log or pattern artifact formatted, at a time.
-_EVENT_CHUNK = 1 << 16
+_EVENT_CHUNK = 1 << 14
 
 
 def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
@@ -225,10 +225,17 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     The seed rule (rng.checked_seed) and the count range are checked when
     this is called; the returned iterator then yields _EVENT_CHUNK cells at
     a time. The CDF is the running sum of the table rescaled so its last
-    entry is exactly 1; a uniform u lands in the first cell whose CDF
-    exceeds it, so zero-probability cells are never drawn. Output i of the
-    splitmix64 stream depends only on (seed, i), so the chunks concatenate
-    to the draws of one batch.
+    entry is exactly 1; a uniform u (rng.unit_floats) lands in the first
+    cell whose CDF exceeds it, so zero-probability cells are never drawn.
+    Output i of the splitmix64 stream depends only on (seed, i), so the
+    chunks concatenate to the draws of one batch.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) makes most draws
+    a lookup. The top `bits` bits of an output name the bucket
+    [j, j + 1) / 2^bits that holds its u. Where no CDF entry lies strictly
+    inside a bucket, every u in it lands in the cell of the bucket's lower
+    edge; only the draws in the other, split buckets are searched. The rule
+    is unchanged, so the draws are the same cells, bit for bit.
     """
     stream = SplitMix64(checked_seed(seed))
     if count < 1:
@@ -237,11 +244,23 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
         raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
     cdf = np.cumsum(table.probabilities.reshape(-1))
     cdf /= cdf[-1]
+    # At most 2^16 buckets, 16 per cell, and fewer buckets than draws; with
+    # bits = 0 the one bucket is split and every draw is searched.
+    bits = min(16, cdf.size.bit_length() + 4, max(int(count).bit_length() - 1, 0))
+    edges = np.arange((1 << bits) + 1) * 2.0**-bits
+    guide = np.searchsorted(cdf, edges[:-1], side="right")
+    split = np.searchsorted(cdf, edges[1:], side="left") > guide
 
     def chunks():
         for start in range(0, count, _EVENT_CHUNK):
-            uniforms = stream.floats(min(_EVENT_CHUNK, count - start))
-            yield np.searchsorted(cdf, uniforms, side="right")
+            outputs = stream.uint64s(min(_EVENT_CHUNK, count - start))
+            # The bucket is output >> (64 - bits), shifted in two steps so
+            # that no shift is by 64.
+            buckets = ((outputs >> np.uint64(11)) >> np.uint64(53 - bits)).astype(np.intp)
+            cells = guide[buckets]
+            searched = np.flatnonzero(split[buckets])
+            cells[searched] = np.searchsorted(cdf, unit_floats(outputs[searched]), side="right")
+            yield cells
 
     return chunks()
 

@@ -65,4 +65,9 @@ class SplitMix64:
 
     def floats(self, count: int) -> np.ndarray:
         """Next `count` uniform doubles in [0, 1) as a float64 array."""
-        return (self.uint64s(count) >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+        return unit_floats(self.uint64s(count))
+
+
+def unit_floats(outputs: np.ndarray) -> np.ndarray:
+    """The uniform doubles u = (output >> 11) / 2^53 of a uint64 array of outputs."""
+    return (outputs >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE

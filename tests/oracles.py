@@ -9,7 +9,9 @@ f-strings and json.dumps, where the package formats whole chunks with `%`.
 of operations the package has no public function for.
 """
 
+import bisect
 import cmath
+import itertools
 import json
 import math
 from xml.sax.saxutils import escape
@@ -18,7 +20,6 @@ import numpy as np
 from scipy.stats import chi2
 
 from qeraser import _svg
-from qeraser.analysis import sample_outcomes
 from qeraser.core import PureState
 from qeraser.errors import DimensionMismatchError, NotNormalizedError
 
@@ -158,14 +159,27 @@ def chi_square_pass(probabilities, observed_counts, quantile=0.999, pool_below=5
     return statistic < float(chi2.ppf(quantile, len(exp) - 1))
 
 
+def sample_outcomes(probabilities, count, seed):
+    """Cells of `count` inverse-CDF draws over a flat list of probabilities.
+
+    The CDF is the running sum divided by its last entry; draw i is the
+    first cell whose CDF exceeds the i-th splitmix64 uniform, found by
+    bisection, one draw at a time.
+    """
+    cdf = list(itertools.accumulate(probabilities))
+    cdf = [value / cdf[-1] for value in cdf]
+    return [bisect.bisect_right(cdf, u) for u in splitmix64_floats(seed, count)]
+
+
 def event_log(table, count, seed, scenario_id, order):
     """Event log text: the header, then one f-string per draw of sample_outcomes.
 
-    Draw i is cell (row, marker) = divmod(cell, columns) of the table, logged
-    under the row's label.
+    Draw i is cell (row, marker) = divmod(cell, columns) of the table's
+    row-major cells, logged under the row's label.
     """
+    cells = [p for row in table.probabilities.tolist() for p in row]
     lines = ["scenario_id,event_index,system_outcome,marker_outcome,order,seed"]
-    for index, cell in enumerate(sample_outcomes(table, count, seed).tolist()):
+    for index, cell in enumerate(sample_outcomes(cells, count, seed)):
         row, marker = divmod(cell, len(table.col_labels))
         lines.append(f"{scenario_id},{index},{table.row_labels[row]},{marker},{order},{seed}")
     return "\n".join(lines) + "\n"

@@ -308,6 +308,58 @@ class TestSampling:
         ]
 
 
+def column_table(probabilities) -> analysis.JointTable:
+    """A one-column joint table whose cells are `probabilities`, in order."""
+    cells = np.reshape(probabilities, (-1, 1))
+    return analysis.JointTable(range(len(cells)), ("m",), cells)
+
+
+@st.composite
+def dyadic_probabilities(draw):
+    """Multiples of 2^-k: every CDF entry lies on a bucket edge j / 2^k.
+
+    Repeated cuts, and cuts at 0 or 1, give zero-probability cells; no cut
+    gives the one-cell table.
+    """
+    k = draw(st.integers(0, 10))
+    cuts = sorted(draw(st.lists(st.integers(0, 2**k), max_size=40)))
+    points = [0, *cuts, 2**k]
+    return [(b - a) / 2**k for a, b in zip(points, points[1:])]
+
+
+weighted_probabilities = st.lists(
+    st.just(0.0) | st.floats(1e-9, 1.0), min_size=1, max_size=60
+).filter(any).map(lambda w: (np.array(w) / sum(w)).tolist())
+
+#: Counts at and either side of 2^k, where the guide table's size steps.
+counts_near_powers_of_two = st.integers(0, 12).flatmap(
+    lambda k: st.integers(max(1, 2**k - 2), 2**k + 2)
+)
+
+
+class TestGuideTableDraws:
+    """sample_outcomes against a scalar bisection over the same stream."""
+
+    @given(
+        probabilities=dyadic_probabilities() | weighted_probabilities,
+        count=counts_near_powers_of_two,
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_draws_equal_scalar_bisection(self, probabilities, count, seed):
+        table = column_table(probabilities)
+        expected = oracles.sample_outcomes(table.probabilities.reshape(-1).tolist(), count, seed)
+        assert sample_outcomes(table, count, seed).tolist() == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 2**15 - 1, 2**15, 2**17])
+    def test_draws_over_more_than_2_16_cells(self, count):
+        """A table wider than the largest guide table, with a long zero run."""
+        weights = np.random.default_rng(3).random(2**16 + 3) ** 8
+        weights[1000:40000] = 0.0
+        table = column_table(weights / weights.sum())
+        expected = oracles.sample_outcomes(table.probabilities.reshape(-1).tolist(), count, 17)
+        assert sample_outcomes(table, count, 17).tolist() == expected
+
+
 #: (state, system labels) of the three sampled scenarios, as the CLI builds them.
 SCENARIO_MODELS = {
     "nchannel": (final_state_marked(default_config(10)), list(range(1, 11))),
@@ -336,7 +388,7 @@ class TestEventLogChunks:
         theta=st.floats(0.0, math.pi),
         count=st.integers(1, 300),
         seed=st.integers(0, 2**64 - 1),
-        chunk=st.sampled_from([1, 7, 1 << 16, "above count"]),
+        chunk=st.sampled_from([1, 7, 1 << 16, analysis._EVENT_CHUNK, "above count"]),
         offset=st.sampled_from([0, 2**70]),
         scenario_id=st.sampled_from(["s", "run 2.ü", "x{}", "100%", "%s%%d"]),
     )
@@ -356,7 +408,7 @@ class TestEventLogChunks:
         assert reference_log(*args) == expected
 
     def test_chunk_boundaries_at_default_size(self):
-        """Three chunks of 2^16 draws equal one batch of the same stream."""
+        """Three chunks of the shipped size equal one batch of the same stream."""
         state, labels = SCENARIO_MODELS["nchannel"]
         count = 2 * analysis._EVENT_CHUNK + 5
         args = (state, erasure_basis(0.3), SYSTEM_FIRST, count, 9, "s", labels)
