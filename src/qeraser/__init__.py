@@ -10,7 +10,7 @@ analysis layer verifies that joint statistics are independent of the
 measurement ordering and provides deterministic seeded event sampling.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .analysis import (
     MARKER_FIRST,
@@ -40,7 +40,6 @@ from .marker import (
     MarkerBasis,
     MarkerState,
     erasure_basis,
-    mutual_unbiasedness_check,
     which_path_basis,
 )
 from .nchannel import (
@@ -102,7 +101,6 @@ __all__ = [
     "make_state",
     "marked_state",
     "mutual_information",
-    "mutual_unbiasedness_check",
     "ordering_invariance_residual",
     "pattern_conditioned",
     "pattern_marked_unconditioned",

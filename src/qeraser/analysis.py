@@ -22,6 +22,7 @@ table driven by the splitmix64 stream specified in `rng`, so identical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -35,7 +36,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .marker import SQRT_HALF, erasure_basis, which_path_basis
-from .rng import SplitMix64, checked_seed, unit_floats
+from .rng import SplitMix64, unit_floats
 
 MARKER_FIRST = "marker_first"
 SYSTEM_FIRST = "system_first"
@@ -222,11 +223,12 @@ def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
 def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     """Flat (row-major) cell indices of `count` inverse-CDF draws, in chunks.
 
-    The seed rule (rng.checked_seed) and the count range are checked when
-    this is called; the returned iterator then yields _EVENT_CHUNK cells at
-    a time. The CDF is the running sum of the table rescaled so its last
-    entry is exactly 1; a uniform u (rng.unit_floats) lands in the first
-    cell whose CDF exceeds it, so zero-probability cells are never drawn.
+    The seed rule (SplitMix64's constructor) and the count range are
+    checked when this is called; the returned iterator then yields
+    _EVENT_CHUNK cells at a time. The CDF is the running sum of the table
+    rescaled so its last entry is exactly 1; a uniform u (rng.unit_floats)
+    lands in the first cell whose CDF exceeds it, so zero-probability cells
+    are never drawn.
     Output i of the splitmix64 stream depends only on (seed, i), so the
     chunks concatenate to the draws of one batch.
 
@@ -237,16 +239,13 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     edge; only the draws in the other, split buckets are searched. The rule
     is unchanged, so the draws are the same cells, bit for bit.
     """
-    stream = SplitMix64(checked_seed(seed))
-    if count < 1:
-        raise InvalidCountError(f"count must be >= 1, got {count}")
-    if count > core.MAX_SIZE:
-        raise InvalidCountError(f"count must be <= {core.MAX_SIZE}, got {count}")
+    stream = SplitMix64(seed)
+    count = core._integer(count, "count", 1, core.MAX_SIZE, InvalidCountError)
     cdf = np.cumsum(table.probabilities.reshape(-1))
     cdf /= cdf[-1]
     # At most 2^16 buckets, 16 per cell, and fewer buckets than draws; with
     # bits = 0 the one bucket is split and every draw is searched.
-    bits = min(16, cdf.size.bit_length() + 4, max(int(count).bit_length() - 1, 0))
+    bits = min(16, cdf.size.bit_length() + 4, max(count.bit_length() - 1, 0))
     edges = np.arange((1 << bits) + 1) * 2.0**-bits
     guide = np.searchsorted(cdf, edges[:-1], side="right")
     split = np.searchsorted(cdf, edges[1:], side="left") > guide
@@ -268,14 +267,15 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
 def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
     """Flat (row-major) cell indices of `count` inverse-CDF draws.
 
-    count must be in [1, core.MAX_SIZE] and the seed an integer in
-    [0, 2^64) (rng.checked_seed).
+    count must be an integer in [1, core.MAX_SIZE] and the seed an integer
+    in [0, 2^64) (SplitMix64's seed rule).
     """
     return np.concatenate(list(_draws(table, count, seed)))
 
 
 def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_labels):
-    """(cell draws, joint table, seed) of an event log, after every check.
+    """(cell draws, int row labels, column count, seed) of an event log,
+    after every check.
 
     Both event-log paths call this before drawing anything, so a bad input
     raises before the first event or byte.
@@ -285,9 +285,13 @@ def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_l
             f"scenario_id must be printable and contain no ',', '/' or '\\', got {scenario_id!r}"
         )
     table = joint_distribution(state, marker_basis, order, system_labels)
-    if not all(isinstance(label, (int, np.integer)) for label in table.row_labels):
-        raise ValidationError("system labels must be integers in event logs")
-    return _draws(table, count, seed), table, int(seed)
+    labels = table.row_labels
+    if not isinstance(labels, range):  # a range's labels are ints already
+        labels = [
+            core._integer(label, "system label", -math.inf, math.inf, ValidationError)
+            for label in labels
+        ]
+    return _draws(table, count, seed), labels, len(table.col_labels), int(seed)
 
 
 def sample_events(
@@ -303,17 +307,16 @@ def sample_events(
 
     Each record carries the ordering tag and the stream seed; identical
     (scenario, seed) pairs reproduce the stream exactly; the seed must be
-    an integer in [0, 2^64) (rng.checked_seed). scenario_id is a log field
-    and the CLI's default file stem, so it must be printable (no CR, LF,
-    tab, NUL or other control character) and hold no ',', '/' or '\\'.
+    an integer in [0, 2^64) (SplitMix64's seed rule). scenario_id is a log
+    field and the CLI's default file stem, so it must be printable (no CR,
+    LF, tab, NUL or other control character) and hold no ',', '/' or '\\'.
     system_labels, when given, must be integers (e.g. 1-based detector
     numbers) and are used as the logged system outcomes.
     """
-    draws, table, seed = _event_inputs(
+    draws, labels, columns, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    rows, markers = np.divmod(np.concatenate(list(draws)), len(table.col_labels))
-    labels = [int(label) for label in table.row_labels]
+    rows, markers = np.divmod(np.concatenate(list(draws)), columns)
     return [
         EventRecord(scenario_id, index, labels[row], marker, order, seed)
         for index, (row, marker) in enumerate(zip(rows.tolist(), markers.tolist()))
@@ -337,13 +340,12 @@ def event_log_chunks(
     rows are drawn and formatted _EVENT_CHUNK at a time, and no record
     object is built.
     """
-    draws, table, seed = _event_inputs(
+    draws, labels, columns, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
     # Everything after the event index depends only on the drawn cell.
-    markers = range(len(table.col_labels))
     suffixes = np.array(
-        [f"{int(label)},{m},{order},{seed}" for label in table.row_labels for m in markers],
+        [f"{label},{m},{order},{seed}" for label in labels for m in range(columns)],
         dtype=object,
     )
     row = scenario_id.replace("%", "%%") + ",%d,%s\n"

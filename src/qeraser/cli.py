@@ -530,7 +530,7 @@ def _resolve_output(config: ScenarioConfig, stem: str) -> Path | None:
     if config.output_path:
         return Path(config.output_path)
     # The stem stays inside out_dir: the one user-named part, sample's
-    # scenario_id, holds no '/' or '\\' (analysis.sample_events).
+    # scenario_id, holds no '/' or '\\' (analysis._event_inputs).
     out_dir = Path(os.environ.get(ENV_OUT_DIR, "."))
     return out_dir / f"{stem}.{config.output}"
 

@@ -52,6 +52,19 @@ MAX_SIZE = 10**7
 _NORM_BLOCK = 1 << 16
 
 
+def _integer(value, name: str, low, high, error: type[Exception]) -> int:
+    """int(value) for an int or numpy integer, not a bool, in [low, high].
+
+    The one integer rule of the package, for every count, size, dimension,
+    index and seed; anything else raises `error`. No value is truncated,
+    masked or kept as a float.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= int(value) <= high:
+            return int(value)
+    raise error(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 def _as_complex_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
     vec = np.asarray(values, dtype=np.complex128).reshape(-1)
     if length is not None and vec.size != length:
@@ -138,7 +151,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_dims(self.system_dim, self.marker_dim)
+        system_dim, marker_dim = _dims(self.system_dim, self.marker_dim)
+        self.__dict__.update(system_dim=system_dim, marker_dim=marker_dim)
         vec = _unit_vector(self.amplitudes, self.system_dim * self.marker_dim, "state").copy()
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
@@ -150,22 +164,21 @@ class PureState:
         return sq[:, 0] + sq[:, 1] if self.marker_dim == 2 else sq[:, 0]
 
 
-def _check_dims(system_dim: int, marker_dim: int) -> None:
-    if system_dim < 1:
-        raise DimensionMismatchError("system dimension must be >= 1")
-    if marker_dim not in (1, 2):
-        raise DimensionMismatchError("marker dimension must be 1 or 2")
+def _dims(system_dim, marker_dim) -> tuple[int, int]:
+    """The dimensions as ints: system_dim >= 1, marker_dim 1 or 2."""
+    return (
+        _integer(system_dim, "system dimension", 1, math.inf, DimensionMismatchError),
+        _integer(marker_dim, "marker dimension", 1, 2, DimensionMismatchError),
+    )
 
 
 def _normalized_state(system_dim: int, marker_dim: int, unit: np.ndarray) -> PureState:
-    """PureState around `unit`, a fresh vector of length system_dim *
-    marker_dim that _exactly_normalized returned.
+    """PureState around `unit`, a fresh vector that _exactly_normalized
+    returned, of dimensions that _dims accepted.
 
-    Makes PureState's dimension checks but not its vector check, which
-    _exactly_normalized has made with the same exact sum: the vector is
-    neither summed a second time nor copied.
+    Makes none of PureState's checks, which those two have made: the vector
+    is neither summed a second time nor copied.
     """
-    _check_dims(system_dim, marker_dim)
     unit.setflags(write=False)
     state = object.__new__(PureState)
     state.__dict__.update(system_dim=system_dim, marker_dim=marker_dim, amplitudes=unit)
@@ -225,9 +238,9 @@ def make_state(dims: tuple[int, int], amplitudes) -> PureState:
     The input is copied and divided by its norm; the caller's array is
     never changed. Any finite nonzero vector is accepted, however large or
     small its entries. Raises ZeroNormError when every amplitude is zero
-    and DimensionMismatchError when the vector length disagrees with dims.
+    and DimensionMismatchError for bad dims or a vector of another length.
     """
-    system_dim, marker_dim = int(dims[0]), int(dims[1])
+    system_dim, marker_dim = _dims(*dims)
     vec = _as_complex_vector(amplitudes, system_dim * marker_dim, "amplitudes")
     parts = np.ascontiguousarray(vec).view(np.float64)
     largest = max(float(parts.max()), -float(parts.min()))
@@ -293,8 +306,8 @@ def project_system(state: PureState, system_index: int) -> tuple[np.ndarray, flo
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
-    if not 0 <= system_index < state.system_dim:
-        raise IndexOutOfRangeError(f"system index {system_index} out of range")
+    last = state.system_dim - 1
+    system_index = _integer(system_index, "system index", 0, last, IndexOutOfRangeError)
     c1, c2, probability = _condition_row(
         state.amplitudes.item(2 * system_index),
         state.amplitudes.item(2 * system_index + 1),
@@ -353,14 +366,6 @@ def fidelity_pure(rho: DensityOperator, target) -> float:
     vec = _unit_vector(target, rho.dim, "target state")
     value = float(np.real(np.vdot(vec, rho.matrix @ vec)))
     return _checked_probability(value, "fidelity")
-
-
-def overlap_fidelity(vector, target) -> float:
-    """|<target|vector>|^2 of two marker vectors: fidelity_pure of the
-    pure state |vector><vector|."""
-    c1, c2 = _as_complex_vector(vector, 2, "vector").tolist()
-    t1, t2 = _as_complex_vector(target, 2, "target").tolist()
-    return _overlap_fidelity(c1, c2, t1, t2)
 
 
 def _overlap_fidelity(c1: complex, c2: complex, t1: complex, t2: complex) -> float:

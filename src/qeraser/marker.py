@@ -99,15 +99,3 @@ def erasure_basis(theta: float) -> MarkerBasis:
         MarkerState(forward, -backward, f"dminus[theta={tag}]"),
     )
 
-
-def mutual_unbiasedness_check(basis_a, basis_b) -> float:
-    """Largest deviation of any cross |overlap|^2 from 1/2.
-
-    Each basis is a pair of MarkerStates, such as erasure_basis(theta) or
-    which_path_basis(); 0 means the two bases are exactly mutually unbiased.
-    """
-    deviation = 0.0
-    for a in basis_a:
-        for b in basis_b:
-            deviation = max(deviation, abs(a.squared_overlap(b) - 0.5))
-    return deviation

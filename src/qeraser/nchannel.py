@@ -35,7 +35,7 @@ from .errors import (
     OddChannelCountError,
 )
 from .marker import MarkerState, _normalized_marker, erasure_basis
-from .rng import SplitMix64, checked_seed
+from .rng import SplitMix64
 
 
 def validate_config(thetas, phis) -> float:
@@ -68,8 +68,8 @@ class PhaseConfig:
     phis: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidConfigError("channel count must be >= 2")
+        n = core._integer(self.n, "channel count", 2, math.inf, InvalidConfigError)
+        object.__setattr__(self, "n", n)
         t = np.asarray(self.thetas, dtype=np.float64).reshape(-1).copy()
         p = np.asarray(self.phis, dtype=np.float64).reshape(-1).copy()
         if t.size != self.n or p.size != self.n:
@@ -94,8 +94,7 @@ def default_config(n: int) -> PhaseConfig:
     the Mach-Zehnder interferometer. Odd n cannot satisfy the unitarity
     condition for this pattern and raises OddChannelCountError.
     """
-    if n > core.MAX_SIZE:
-        raise InvalidConfigError(f"channel count must be <= {core.MAX_SIZE}, got {n}")
+    n = core._integer(n, "channel count", -math.inf, core.MAX_SIZE, InvalidConfigError)
     if n < 2 or n % 2 != 0:
         raise OddChannelCountError(f"alternating preset needs even n >= 2, got {n}")
     thetas = np.zeros(n)
@@ -121,11 +120,10 @@ def random_config(n: int, seed: int) -> PhaseConfig:
         phi_2 = theta_2 + a - arccos(r / 2)
 
     so that the two repaired terms contribute exactly r e^{i a} = -S.
-    The seed must be an integer in [0, 2^64) (rng.checked_seed).
+    The seed must be an integer in [0, 2^64) (SplitMix64's seed rule).
     """
-    if not 2 <= n <= core.MAX_SIZE:
-        raise InvalidConfigError(f"channel count must be in [2, {core.MAX_SIZE}], got {n}")
-    stream = SplitMix64(checked_seed(seed))
+    n = core._integer(n, "channel count", 2, core.MAX_SIZE, InvalidConfigError)
+    stream = SplitMix64(seed)
     two_pi = 2.0 * math.pi
     thetas = stream.floats(n) * two_pi
     phis = np.empty(n)
@@ -214,10 +212,7 @@ def delayed_marker_state(state: core.PureState, detector_j: int) -> DelayedMarke
     clamped to [0, 1]. Raises ZeroProbabilityError for detectors that
     never fire.
     """
-    if not 1 <= detector_j <= state.system_dim:
-        raise IndexOutOfRangeError(
-            f"detector {detector_j} out of 1..{state.system_dim}"
-        )
+    detector_j = core._integer(detector_j, "detector", 1, state.system_dim, IndexOutOfRangeError)
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to condition")
     c1, c2, _ = core._condition_row(

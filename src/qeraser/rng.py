@@ -14,37 +14,30 @@ Uniform doubles take the top 53 bits: u_i = (output_i >> 11) / 2^53,
 giving values in [0, 1). Because output_i depends only on (seed, i),
 batches of any size concatenate to the same stream. Streams with
 distinct seeds never share state.
+
+The constructor holds the seed rule: an integer in [0, 2^64), under
+core's integer rule, so no seed is reduced mod 2^64 or truncated into
+another seed's stream. A batch's count is an integer in [0, MAX_SIZE].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import MAX_SIZE, _integer
 from .errors import InvalidCountError, ValidationError
 
-_MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _DOUBLE_SCALE = 1.0 / (1 << 53)
 
 
-def checked_seed(seed) -> int:
-    """The seed as an int; ValidationError unless an integer in [0, 2^64).
-
-    SplitMix64 reduces seeds mod 2^64, so a seed outside that range (or a
-    fraction, truncated by int()) would reproduce another seed's stream.
-    """
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
-    return int(seed)
-
-
 class SplitMix64:
     """Counter-based splitmix64 stream over a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        self._seed = _integer(seed, "seed", 0, 2**64 - 1, ValidationError)
         self._index = 0
 
     def next_uint64(self) -> int:
@@ -53,8 +46,7 @@ class SplitMix64:
 
     def uint64s(self, count: int) -> np.ndarray:
         """Next `count` outputs as a uint64 array (advances the stream)."""
-        if count < 0:
-            raise InvalidCountError("count must be non-negative")
+        count = _integer(count, "count", 0, MAX_SIZE, InvalidCountError)
         idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
         state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)  # wraps mod 2^64

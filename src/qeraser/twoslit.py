@@ -61,12 +61,8 @@ class ScreenGeometry:
             raise InvalidGeometryError("d, wavelength and L must be positive")
         if not self.x_min < self.x_max:
             raise InvalidGeometryError("x_min must be below x_max")
-        if isinstance(self.bins, bool) or not isinstance(self.bins, (int, np.integer)):
-            raise InvalidGeometryError(f"bins must be an integer, got {self.bins!r}")
-        if self.bins < 2:
-            raise InvalidGeometryError("need at least two bins")
-        if self.bins > core.MAX_SIZE:
-            raise InvalidGeometryError(f"at most {core.MAX_SIZE} bins, got {self.bins}")
+        bins = core._integer(self.bins, "bins", 2, core.MAX_SIZE, InvalidGeometryError)
+        object.__setattr__(self, "bins", bins)
         # The grid is built in floats: its span, phase scale and largest
         # phase must not overflow, nor wavelength * L underflow to zero; a
         # subnormal bin width would overflow the normalized envelope.
@@ -253,8 +249,7 @@ def delayed_marker_state_at(grid: ScreenGrid, bin_k: int) -> ScreenMarker:
     nonzero envelope. Raises ZeroProbabilityError where the envelope
     vanishes.
     """
-    if not 0 <= bin_k < grid.bins:
-        raise IndexOutOfRangeError(f"bin {bin_k} out of 0..{grid.bins - 1}")
+    bin_k = core._integer(bin_k, "bin", 0, grid.bins - 1, IndexOutOfRangeError)
     block = _marked_amplitudes(grid, slice(bin_k, bin_k + 1))
     c1, c2, _ = core._condition_row(block.item(0), block.item(1), f"bin {bin_k}")
     theta_x = grid.theta_x.item(bin_k)

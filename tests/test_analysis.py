@@ -174,8 +174,11 @@ class TestSplitMix:
         assert values.min() >= 0.0 and values.max() < 1.0
         assert values.tolist() == oracles.splitmix64_floats(5, 10000)
 
-    def test_seed_is_masked_to_64_bits(self):
-        assert SplitMix64(2**64 + 3).next_uint64() == SplitMix64(3).next_uint64()
+    def test_seed_outside_the_rule_is_rejected(self):
+        """Masked, truncated or read as 1, these seeds would alias another seed's stream."""
+        for seed in (2**64 + 3, -1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                SplitMix64(seed)
 
 
 class TestSampling:

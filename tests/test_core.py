@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +7,24 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from oracles import inner_product, tensor
-from qeraser.analysis import SYSTEM_FIRST, JointTable, joint_distribution
+from qeraser.analysis import (
+    SYSTEM_FIRST,
+    JointTable,
+    joint_distribution,
+    sample_events,
+    sample_outcomes,
+)
 from qeraser.core import (
     ZERO_PROBABILITY,
     DensityOperator,
     Distribution,
     PureState,
+    MAX_SIZE,
+    _overlap_fidelity,
     checked_probabilities,
     condition_on_system,
     fidelity_pure,
     make_state,
-    overlap_fidelity,
     project_marker,
     project_system,
     purity,
@@ -25,9 +33,11 @@ from qeraser.core import (
 from qeraser.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     InvalidCountError,
     InvalidDensityError,
     InvariantError,
+    InvalidGeometryError,
     NoMarkerError,
     NonFiniteError,
     NotNormalizedError,
@@ -37,8 +47,15 @@ from qeraser.errors import (
     ZeroProbabilityError,
 )
 from qeraser.marker import MarkerState, erasure_basis
-from qeraser.nchannel import default_config, delayed_marker_state, final_state_marked, random_config
+from qeraser.nchannel import (
+    PhaseConfig,
+    default_config,
+    delayed_marker_state,
+    final_state_marked,
+    random_config,
+)
 from qeraser.rng import SplitMix64
+from qeraser.twoslit import ScreenGeometry, default_geometry, default_grid, delayed_marker_state_at
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -295,7 +312,7 @@ class TestConditionOnSystem:
         vec = np.array([0.6, 0.8j])
         target = np.array([SQ, SQ])
         rho = DensityOperator(np.outer(vec, vec.conj()))
-        assert overlap_fidelity(vec, target) == pytest.approx(
+        assert _overlap_fidelity(*vec.tolist(), *target.tolist()) == pytest.approx(
             fidelity_pure(rho, target), abs=1e-12
         )
 
@@ -535,3 +552,70 @@ class TestRuleErrors:
             violate()
         assert isinstance(info.value, QEraserError)
         assert isinstance(info.value, builtin)
+
+
+#: Marked 4-channel state and its joint table, for the integer-rule probes.
+CHANNEL = final_state_marked(default_config(4))
+TABLE = joint_distribution(CHANNEL, erasure_basis(0.0), SYSTEM_FIRST)
+
+
+class TestIntegerRule:
+    """Every count, size, dimension, index and seed is an int or numpy
+    integer, not a bool, within its bounds (core._integer); anything else
+    raises the site's domain error instead of being truncated, masked or
+    kept as a float."""
+
+    CASES = {
+        "sample-seed-bool": (lambda: sample_outcomes(TABLE, 3, True), ValidationError),
+        "seed-negative": (lambda: SplitMix64(-1), ValidationError),
+        "seed-float": (lambda: SplitMix64(1.5), ValidationError),
+        "seed-above-64-bits": (lambda: SplitMix64(2**64 + 3), ValidationError),
+        "floats-count-float": (lambda: SplitMix64(1).floats(1.5), InvalidCountError),
+        "uint64s-above-limit": (lambda: SplitMix64(1).uint64s(MAX_SIZE + 1), InvalidCountError),
+        "sample-count-float": (lambda: sample_outcomes(TABLE, 3.0, 1), InvalidCountError),
+        "make-state-float-dim": (lambda: make_state((2, 2.5), [1, 0]), DimensionMismatchError),
+        "make-state-zero-dim": (lambda: make_state((0, 2), []), DimensionMismatchError),
+        "state-float-dim": (lambda: PureState(2.0, 2, [SQ, 0, 0, SQ]), DimensionMismatchError),
+        "state-marker-dim-3": (lambda: PureState(1, 3, [1, 0, 0]), DimensionMismatchError),
+        "phase-config-float-n": (lambda: PhaseConfig(2.0, [0, 0], [0, 3]), InvalidConfigError),
+        "default-config-float-n": (lambda: default_config(4.0), InvalidConfigError),
+        "random-config-float-n": (lambda: random_config(4.0, 1), InvalidConfigError),
+        "detector-bool": (lambda: delayed_marker_state(CHANNEL, True), IndexOutOfRangeError),
+        "detector-float": (lambda: delayed_marker_state(CHANNEL, 1.0), IndexOutOfRangeError),
+        "system-index-float": (lambda: project_system(ENTANGLED, 1.0), IndexOutOfRangeError),
+        "bin-float": (lambda: delayed_marker_state_at(default_grid(), 2.0), IndexOutOfRangeError),
+        "bins-bool": (lambda: dataclasses.replace(default_geometry(), bins=True),
+                      InvalidGeometryError),
+        "system-label-float": (lambda: sample_events(CHANNEL, erasure_basis(0.0), SYSTEM_FIRST, 1,
+                                                     1, "s", [1, 2, 3, 4.0]), ValidationError),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rejected_with_the_site_error(self, name):
+        violate, error = self.CASES[name]
+        with pytest.raises(error, match="must be an integer") as info:
+            violate()
+        assert isinstance(info.value, QEraserError)
+
+    def test_numpy_integers_give_equal_results(self):
+        seed = np.uint64(2**63)
+        assert SplitMix64(seed).uint64s(8).tobytes() == SplitMix64(2**63).uint64s(8).tobytes()
+        count = np.int64(100)
+        assert SplitMix64(3).floats(count).tobytes() == SplitMix64(3).floats(100).tobytes()
+        draws = sample_outcomes(TABLE, count, seed)
+        assert draws.tobytes() == sample_outcomes(TABLE, 100, 2**63).tobytes()
+        config = random_config(np.int64(6), np.uint64(5))
+        assert config.n == 6 and type(config.n) is int
+        assert config.phis.tobytes() == random_config(6, 5).phis.tobytes()
+        index = np.int64(1)
+        (conditional, weight), (expected, expected_weight) = (
+            project_system(ENTANGLED, index), project_system(ENTANGLED, 1))
+        assert conditional.tobytes() == expected.tobytes() and weight == expected_weight
+        assert delayed_marker_state(CHANNEL, index + 1) == delayed_marker_state(CHANNEL, 2)
+        grid = default_grid()
+        assert delayed_marker_state_at(grid, np.int64(256)) == delayed_marker_state_at(grid, 256)
+        geometry = dataclasses.replace(default_geometry(), bins=np.int64(512))
+        assert geometry == default_geometry() and type(geometry.bins) is int
+        state = make_state((np.int64(2), np.int64(2)), [1, 0, 0, 1])
+        assert (state.system_dim, state.marker_dim) == (2, 2) and type(state.system_dim) is int
+        assert state.amplitudes.tobytes() == ENTANGLED.amplitudes.tobytes()

@@ -284,8 +284,9 @@ class TestDelayedMode:
         assert calls == []
         for j, result in enumerate(results, 1):
             conditional, _ = core.project_system(state, j - 1)
-            assert result.fidelity_dplus == core.overlap_fidelity(conditional, plus.vector)
-            assert result.fidelity_dminus == core.overlap_fidelity(conditional, minus.vector)
+            c1, c2 = conditional.tolist()
+            assert result.fidelity_dplus == core._overlap_fidelity(c1, c2, plus.c1, plus.c2)
+            assert result.fidelity_dminus == core._overlap_fidelity(c1, c2, minus.c1, minus.c2)
 
     def test_detector_index_is_one_based(self):
         state = final_state_marked(default_config(4))
@@ -333,8 +334,9 @@ class TestScalarDelayedPath:
             assert result.marker_state.vector.tobytes() == conditionals[j - 1].tobytes()
             assert result.marker_state == marker.MarkerState(*conditionals[j - 1], f"detector{j}")
             plus, minus = erasure_basis(0.0)
-            assert result.fidelity_dplus == core.overlap_fidelity(conditionals[j - 1], plus)
-            assert result.fidelity_dminus == core.overlap_fidelity(conditionals[j - 1], minus)
+            c1, c2 = conditionals[j - 1].tolist()
+            assert result.fidelity_dplus == core._overlap_fidelity(c1, c2, plus.c1, plus.c2)
+            assert result.fidelity_dminus == core._overlap_fidelity(c1, c2, minus.c1, minus.c2)
         assert np.any(weights == 0.0) == (state.system_dim == 4)
 
 
