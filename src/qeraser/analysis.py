@@ -48,8 +48,8 @@ class JointTable:
     """Joint probabilities over (system outcome, marker outcome).
 
     The labels are kept as tuples, except that a `range` of row labels
-    (the 0-based outcome indices) stays a range: a table over 32768 bins
-    holds no tuple of 32768 ints.
+    stays a range: a table over 32768 bins holds no tuple of 32768 ints.
+    Labels that do not match the table's shape raise DimensionMismatchError.
     """
 
     row_labels: tuple | range
@@ -83,9 +83,9 @@ def joint_distribution(
     ordering_invariance_residual).
 
     system_labels, when given, names the rows (e.g. 1-based detector
-    numbers); the default is the 0-based outcome index. marker_basis is a
-    pair of orthogonal MarkerStates, such as erasure_basis(theta) or
-    which_path_basis().
+    numbers) and goes to JointTable as given; the default is the 0-based
+    outcome index. marker_basis is a pair of orthogonal MarkerStates, such
+    as erasure_basis(theta) or which_path_basis().
 
     Without system_labels, while a caller holds a table, a call with the
     same state and order and a basis of equal vectors and labels returns
@@ -102,9 +102,6 @@ def joint_distribution(
         return core._memo(
             state, key, lambda: _joint_table(state, first, second, order, range(state.system_dim))
         )
-    system_labels = tuple(system_labels)
-    if len(system_labels) != state.system_dim:
-        raise DimensionMismatchError("system_labels must cover every system outcome")
     return _joint_table(state, first, second, order, system_labels)
 
 
@@ -234,10 +231,11 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
 
     A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) makes most draws
     a lookup. The top `bits` bits of an output name the bucket
-    [j, j + 1) / 2^bits that holds its u. Where no CDF entry lies strictly
-    inside a bucket, every u in it lands in the cell of the bucket's lower
-    edge; only the draws in the other, split buckets are searched. The rule
-    is unchanged, so the draws are the same cells, bit for bit.
+    [j, j + 1) / 2^bits that holds its u. One search over the bucket edges
+    gives each edge's cell; where a bucket's two edges share a cell, every
+    u in it lands there, and only the draws in the other, split buckets are
+    searched. The rule is unchanged, so the draws are the same cells, bit
+    for bit.
     """
     stream = SplitMix64(seed)
     count = core._integer(count, "count", 1, core.MAX_SIZE, InvalidCountError)
@@ -246,9 +244,8 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     # At most 2^16 buckets, 16 per cell, and fewer buckets than draws; with
     # bits = 0 the one bucket is split and every draw is searched.
     bits = min(16, cdf.size.bit_length() + 4, max(count.bit_length() - 1, 0))
-    edges = np.arange((1 << bits) + 1) * 2.0**-bits
-    guide = np.searchsorted(cdf, edges[:-1], side="right")
-    split = np.searchsorted(cdf, edges[1:], side="left") > guide
+    guide = np.searchsorted(cdf, np.arange((1 << bits) + 1) * 2.0**-bits, side="right")
+    split = guide[1:] > guide[:-1]
 
     def chunks():
         for start in range(0, count, _EVENT_CHUNK):
@@ -343,18 +340,16 @@ def event_log_chunks(
     draws, labels, columns, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    # Everything after the event index depends only on the drawn cell.
-    suffixes = np.array(
-        [f"{label},{m},{order},{seed}" for label in labels for m in range(columns)],
-        dtype=object,
-    )
-    row = scenario_id.replace("%", "%%") + ",%d,%s\n"
+    # The system and marker outcomes depend only on the drawn cell; order
+    # and seed, one of ORDERS and an int, hold no '%' and go in the template.
+    outcomes = np.array([f"{label},{m}" for label in labels for m in range(columns)], dtype=object)
+    row = scenario_id.replace("%", "%%") + f",%d,%s,{order},{seed}\n"
 
     def rows():
         yield EVENT_LOG_HEADER + "\n"
         start = 0
         for chunk in draws:
-            yield from _rows(row, (np.arange(start, start + chunk.size), suffixes[chunk]))
+            yield from _rows(row, (np.arange(start, start + chunk.size), outcomes[chunk]))
             start += chunk.size
 
     return rows()

@@ -325,7 +325,7 @@ def _nchannel_model(params):
 
 
 #: sample's models: scenario -> params -> (marked state, system labels, id tag).
-#: No labels means the 0-based outcome indices, and joint_distribution's memo.
+#: No labels: the 0-based indices and joint_distribution's memo; a range stays a range.
 _MODELS = {
     "nchannel": _nchannel_model,
     "twoslit": lambda _: (twoslit.marked_state(twoslit.default_grid()), None, "twoslit-default"),

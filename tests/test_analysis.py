@@ -23,7 +23,12 @@ from qeraser.analysis import (
     sample_events,
     sample_outcomes,
 )
-from qeraser.errors import InvalidCountError, NoMarkerError, ValidationError
+from qeraser.errors import (
+    DimensionMismatchError,
+    InvalidCountError,
+    NoMarkerError,
+    ValidationError,
+)
 from qeraser.marker import erasure_basis, which_path_basis
 from qeraser.nchannel import default_config, final_state_marked
 from qeraser.rng import SplitMix64
@@ -88,7 +93,10 @@ class TestJointDistribution:
             state, erasure_basis(0.0), MARKER_FIRST, system_labels=[1, 2, 3, 4]
         )
         assert table.row_labels == (1, 2, 3, 4)
-        with pytest.raises(ValueError):
+        for labels in ((n for n in range(1, 5)), np.arange(1, 5)):
+            table = joint_distribution(state, erasure_basis(0.0), MARKER_FIRST, system_labels=labels)
+            assert isinstance(table.row_labels, tuple) and table.row_labels == (1, 2, 3, 4)
+        with pytest.raises(DimensionMismatchError):
             joint_distribution(state, erasure_basis(0.0), MARKER_FIRST, system_labels=[1])
 
     def test_requires_marked_state_and_known_order(self):

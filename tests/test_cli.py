@@ -583,8 +583,8 @@ class TestStreamedPatterns:
                 emit(payload, "{}")
 
     @pytest.mark.parametrize("order", analysis.ORDERS)
-    def test_range_row_labels_write_the_bytes_of_a_tuple(self, order):
-        """A memoized table's range of row labels reads like the tuple it replaces."""
+    def test_range_row_labels_write_the_bytes_of_a_tuple(self, monkeypatch, order):
+        """A range of row labels reads like the tuple it replaces."""
         state = twoslit.marked_state(twoslit.default_grid())
         basis = marker.erasure_basis(0.8)
         labels = tuple(range(state.system_dim))
@@ -597,6 +597,20 @@ class TestStreamedPatterns:
             "".join(analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels))
             for system_labels in (None, labels)
         ]
+        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order)
+        # 1-based, as sample's detectors 1..n: a range's labels are ints
+        # already, so core._integer runs O(1) times, not once per label.
+        integer, calls = core._integer, []
+        monkeypatch.setattr(core, "_integer", lambda *args: calls.append(args) or integer(*args))
+        one_based = range(1, state.system_dim + 1)
+        logs, counts = [], []
+        for system_labels in (one_based, list(one_based)):
+            calls.clear()
+            chunks = analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels)
+            logs.append("".join(chunks))
+            counts.append(len(calls))
+        assert counts[0] <= 2 and counts[1] >= state.system_dim, counts
+        listed = analysis.joint_distribution(state, basis, order, system_labels=list(one_based))
         assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
@@ -615,6 +629,13 @@ class TestStreamedPatterns:
 
         csv, svg = rss("csv"), rss("svg")
         assert svg <= 1.3 * csv, (csv, svg)
+
+    def test_event_log_peak_memory_near_pattern(self, tmp_path):
+        """sample's per-cell text of a 10^6-detector table costs about one pattern."""
+        sample = ["sample", "--n", "1000000", "--count", "10", "-o", os.devnull]
+        events = peak_rss_kib(tmp_path, sample)
+        pattern = peak_rss_kib(tmp_path, ["nchannel", "--n", "1000000", "-o", os.devnull])
+        assert events <= 2.3 * pattern, (pattern, events)
 
 
 class TestConfigHandling:
