@@ -205,9 +205,18 @@ EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 #: Events drawn, and rows of an event log or pattern artifact formatted, at a time.
 _EVENT_CHUNK = 1 << 14
 
+#: Indices that share their digits above the last four; one block per run.
+_INDEX_RUN = 10**4
+_INDEX, _POWER = np.arange(_INDEX_RUN, dtype=np.uint16)[:, None], np.uint16([1000, 100, 10, 1])
+#: The last four digits of each index of a run as ASCII bytes, and the same
+#: with each leading zero NUL, for the run below _INDEX_RUN.
+_LOW_DIGITS = (_INDEX // _POWER % 10 + ord("0")).astype(np.uint8)
+_SHORT_DIGITS = np.where(np.maximum(_INDEX, 1) < _POWER, 0, _LOW_DIGITS)
+
 
 def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk."""
+    """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk:
+    the float rows of patterns, joint tables and SVG, with no vectorized form."""
     width = len(columns)
     for start in range(0, len(columns[0]), _EVENT_CHUNK):
         parts = [column[start : start + _EVENT_CHUNK].tolist() for column in columns]
@@ -334,22 +343,41 @@ def event_log_chunks(
     The chunks join to EVENT_LOG_HEADER and one comma-joined line per
     record, each ending in a newline. Every check of sample_events is
     made before this returns, so iterating raises no QEraserError; the
-    rows are drawn and formatted _EVENT_CHUNK at a time, and no record
+    rows are drawn and laid out _EVENT_CHUNK at a time, and no record
     object is built.
     """
     draws, labels, columns, seed = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    # The system and marker outcomes depend only on the drawn cell; order
-    # and seed, one of ORDERS and an int, hold no '%' and go in the template.
-    outcomes = np.array([f"{label},{m}" for label in labels for m in range(columns)], dtype=object)
-    row = scenario_id.replace("%", "%%") + f",%d,%s,{order},{seed}\n"
+    # Each row is laid out as bytes: prefix, index digits, the drawn cell's
+    # `,label,marker` and suffix side by side, each field NUL-padded to one
+    # width, and the NULs dropped. No field holds a NUL of its own:
+    # scenario_id is printable, the labels and the seed are ints and the
+    # order is one of ORDERS.
+    prefix = np.frombuffer(f"{scenario_id},".encode(), np.uint8)
+    suffix = np.frombuffer(f",{order},{seed}\n".encode(), np.uint8)
+    heads = np.array([f",{label}," for label in labels], dtype="S")
+    cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
+    cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
+    cells[..., -1] = np.arange(columns) + ord("0")  # a marker outcome is 0 or 1
+    cells = cells.reshape(-1, heads.itemsize + 1)
 
     def rows():
         yield EVENT_LOG_HEADER + "\n"
         start = 0
         for chunk in draws:
-            yield from _rows(row, (np.arange(start, start + chunk.size), outcomes[chunk]))
-            start += chunk.size
+            stop = start + chunk.size
+            blocks = []
+            # One block per run of indices with the same high digits.
+            for high in range(start // _INDEX_RUN, (stop - 1) // _INDEX_RUN + 1):
+                base = high * _INDEX_RUN
+                first, last = max(start, base), min(stop, base + _INDEX_RUN)
+                highs = np.frombuffer(str(high or "").encode(), np.uint8)
+                lows = (_LOW_DIGITS if high else _SHORT_DIGITS)[first - base : last - base]
+                fields = (prefix, highs, lows, cells[chunk[first - start : last - start]], suffix)
+                block = np.hstack([np.broadcast_to(f, (last - first, f.shape[-1])) for f in fields])
+                blocks.append(block[block != 0])
+            yield str(memoryview(np.concatenate(blocks)), "utf-8")
+            start = stop
 
     return rows()

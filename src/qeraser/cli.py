@@ -421,8 +421,9 @@ SCENARIOS = {
 #
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
-# formatted as main writes them, analysis._EVENT_CHUNK rows at a time, with
-# one `%` per chunk (analysis._rows); joint tables are one chunk.
+# built as main writes them, analysis._EVENT_CHUNK rows at a time: a pattern
+# chunk by one `%` (analysis._rows), an event-log chunk laid out as bytes
+# (analysis.event_log_chunks); joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:

@@ -418,10 +418,16 @@ class TestEventLogChunks:
         assert "".join(chunks) == expected
         assert reference_log(*args) == expected
 
-    def test_chunk_boundaries_at_default_size(self):
-        """Three chunks of the shipped size equal one batch of the same stream."""
-        state, labels = SCENARIO_MODELS["nchannel"]
-        count = 2 * analysis._EVENT_CHUNK + 5
+    @pytest.mark.parametrize(
+        "scenario, count",
+        [("nchannel", 2 * analysis._EVENT_CHUNK + 5), ("nchannel", 100_003), ("epr", 1_000_001)],
+    )
+    def test_chunk_boundaries_at_default_size(self, scenario, count):
+        """Chunks of the shipped size equal one batch of the same stream.
+
+        Their runs of indices cross 10^4 inside a chunk, and 10^5 and 10^6.
+        """
+        state, labels = SCENARIO_MODELS[scenario]
         args = (state, erasure_basis(0.3), SYSTEM_FIRST, count, 9, "s", labels)
         streamed = "".join(event_log_chunks(*args))
         with mock.patch.object(analysis, "_EVENT_CHUNK", count + 1):

@@ -362,24 +362,49 @@ class TestSample:
         assert code == 3
 
 
+#: Runs `qeraser.cli.main(argv[2:])`, then writes the process's VmHWM line to argv[1].
+PEAK_LAUNCHER = """
+import sys
+from qeraser import cli
+code = cli.main(sys.argv[2:])
+with open("/proc/self/status") as status, open(sys.argv[1], "w") as out:
+    out.writelines(line for line in status if line.startswith("VmHWM:"))
+sys.exit(code)
+"""
+
+
 def peak_rss_kib(tmp_path, argv) -> int:
-    """Peak RSS (ru_maxrss, KiB) of a `qeraser *argv` process, which must exit 0."""
+    """Peak RSS (VmHWM, KiB) of a `qeraser *argv` process, which must exit 0.
+
+    Not ru_maxrss from wait4: at exec, Linux carries the parent's peak into
+    the child's maxrss, so a child of a large pytest process reads at least
+    pytest's peak. VmHWM belongs to the address space made at exec.
+    """
+    peak = tmp_path / "vmhwm.txt"
     with open(tmp_path / "stderr.txt", "w") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qeraser.cli", *argv],
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_LAUNCHER, str(peak), *argv],
             env=one_blas_thread_env(), stdout=subprocess.DEVNULL, stderr=err,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
-    return usage.ru_maxrss
+    name, kib, unit = peak.read_text().split()
+    assert (name, unit) == ("VmHWM:", "kB")
+    return int(kib)
 
 
 def sample_peak_rss_kib(tmp_path, count: int) -> int:
-    """Peak RSS (ru_maxrss, KiB) of a `sample --count count -o <file>` process."""
+    """Peak RSS (VmHWM, KiB) of a `sample --count count -o <file>` process."""
     rss = peak_rss_kib(tmp_path, ["sample", "--count", str(count), "-o", str(tmp_path / "events.csv")])
     assert len((tmp_path / "events.csv").read_text().splitlines()) == count + 2
     return rss
+
+
+def test_peak_rss_is_the_childs_own(tmp_path):
+    """A large pytest process does not raise the peak read for its child."""
+    ballast = np.ones(2**25)  # 256 MiB, every page touched
+    peak = peak_rss_kib(tmp_path, ["nchannel", "--n", "4", "-o", os.devnull])
+    assert ballast.sum() == 2**25
+    assert peak < 128 * 1024, peak
 
 
 class FullDisk(io.TextIOWrapper):
