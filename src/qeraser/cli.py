@@ -35,13 +35,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import __version__, _svg, analysis, checks, nchannel, twoslit
+from . import __version__, _float_text, _svg, analysis, checks, nchannel, twoslit
 from .errors import QEraserError, ValidationError
 from .marker import erasure_basis, which_path_basis
 
 ENV_OUT_DIR = "QERASER_OUT_DIR"
 FLOAT_FMT = "%.17g"
 FORMATS = ("csv", "json", "svg")
+#: Float pattern columns at least this long are laid out by _float_text;
+#: below it one `%` per chunk is faster (BENCH_25.json, "break_even").
+FLOAT_TEXT_MIN = 1024
 
 
 class _ParseExit(Exception):
@@ -421,9 +424,11 @@ SCENARIOS = {
 #
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
-# built as main writes them, analysis._EVENT_CHUNK rows at a time: a pattern
-# chunk by one `%` (analysis._rows), an event-log chunk laid out as bytes
-# (analysis.event_log_chunks); joint tables are one chunk.
+# built as main writes them, analysis._EVENT_CHUNK rows at a time. A chunk
+# of float pattern columns of FLOAT_TEXT_MIN rows or more is laid out as
+# bytes (_float_text.text_rows); the other pattern and SVG chunks are
+# formatted by one `%` (analysis._rows), and an event-log chunk is laid out
+# as bytes (analysis.event_log_chunks); joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -448,17 +453,26 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     xs, probs = _pattern_columns(payload)
     condition = payload["condition"]
     header = "index_or_x,probability"
-    row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
+    tail = "\n"
     if condition != "none":
         header += ",condition"
-        row += "," + condition.replace("%", "%%")
-    rows = analysis._rows(row + "\n", (xs, probs))
+        tail = f",{condition}\n"
+    # The laid-out rows join the columns' text and the tail as bytes and
+    # drop the NULs that pad the text: a printable tail holds no NUL.
+    if xs.dtype.kind == "f" and xs.size >= FLOAT_TEXT_MIN and tail[:-1].isprintable():
+        rows = _float_text.text_rows((xs, ",", probs, tail), shortest=False)
+    else:
+        row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
+        rows = analysis._rows(row + tail.replace("%", "%%"), (xs, probs))
     return itertools.chain((f"# config: {echo}\n{header}\n",), rows)
 
 
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
-    items = analysis._rows(",\n    %r", (column,))
+    if column.dtype.kind == "f" and column.size >= FLOAT_TEXT_MIN:
+        items = _float_text.text_rows((",\n    ", column), shortest=True)
+    else:
+        items = analysis._rows(",\n    %r", (column,))
     yield "[" + next(items)[1:]
     yield from items
     yield "\n  ]"
