@@ -204,8 +204,6 @@ EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
 #: Events drawn, and rows of an event log or pattern artifact formatted, at a time.
 _EVENT_CHUNK = 1 << 14
-#: Fewest draws for which _draws builds a guide table.
-_GUIDE_MIN_DRAWS = 1 << 11
 
 #: Indices that share their digits above the last four; one block per run.
 _INDEX_RUN = 10**4
@@ -247,9 +245,9 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     gives each edge's cell; where a bucket's two edges share a cell, every
     u in it lands there, and only the draws in the other, split buckets are
     searched. The rule is unchanged, so the draws are the same cells, bit
-    for bit. The table does not pay for fewer than _GUIDE_MIN_DRAWS draws,
-    nor with fewer buckets than cells, where nearly every bucket is split
-    (BENCH_25.json, "guide_table"); then every draw is searched.
+    for bit. With fewer buckets than cells nearly every bucket is split and
+    the table costs more than it saves (BENCH_25.json, "guide_table"); there
+    bits is 0, and the one bucket is split, so every draw is searched.
     """
     stream = SplitMix64(seed)
     count = core._integer(count, "count", 1, core.MAX_SIZE, InvalidCountError)
@@ -257,7 +255,7 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     cdf /= cdf[-1]
     # At most 2^16 buckets, 16 per cell, and fewer buckets than draws.
     bits = min(16, cdf.size.bit_length() + 4, max(count.bit_length() - 1, 0))
-    if count < _GUIDE_MIN_DRAWS or (1 << bits) < cdf.size:
+    if (1 << bits) < cdf.size:
         bits = 0
     guide = np.searchsorted(cdf, np.arange((1 << bits) + 1) * 2.0**-bits, side="right")
     split = guide[1:] > guide[:-1]
@@ -265,9 +263,6 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     def chunks():
         for start in range(0, count, _EVENT_CHUNK):
             outputs = stream.uint64s(min(_EVENT_CHUNK, count - start))
-            if not bits:
-                yield np.searchsorted(cdf, unit_floats(outputs), side="right")
-                continue
             # The bucket is output >> (64 - bits), shifted in two steps so
             # that no shift is by 64.
             buckets = ((outputs >> np.uint64(11)) >> np.uint64(53 - bits)).astype(np.intp)

@@ -370,11 +370,10 @@ class TestGuideTableDraws:
         expected = oracles.sample_outcomes(table.probabilities.reshape(-1).tolist(), count, 17)
         assert sample_outcomes(table, count, 17).tolist() == expected
 
-    @pytest.mark.parametrize(
-        "count", [analysis._GUIDE_MIN_DRAWS - 1, analysis._GUIDE_MIN_DRAWS, 2**15 + 3]
-    )
+    @pytest.mark.parametrize("count", [2**10 - 1, 2**10, 2**15 + 3])
     def test_draws_over_a_screen_either_side_of_the_guide_table(self, count):
-        """The 1024 cells of the default screen, with and without a guide table."""
+        """The 1024 cells of the default screen, with and without a guide
+        table: 1023 draws get 2^9 buckets, fewer than the cells, and none."""
         table = joint_distribution(marked_state(default_grid()), erasure_basis(0.4), SYSTEM_FIRST)
         expected = oracles.sample_outcomes(table.probabilities.reshape(-1).tolist(), count, 5)
         assert sample_outcomes(table, count, 5).tolist() == expected

@@ -182,8 +182,10 @@ def src_env(**extra) -> dict:
 
 def lowered_targets() -> dict:
     """Each dispatch level below the host's -> the host's numpy SIMD targets above it."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x, which has no numpy._core: skip
+        return {}
     dispatch = list(__cpu_dispatch__)  # lowest first
     if "X86_V3" not in dispatch:  # not an x86-64 build
         return {}
