@@ -1,9 +1,12 @@
-"""Exact `"%.17g" % v` and `repr(v)` of float64 columns, laid out as bytes.
+"""Exact `"%.17g" % v`, `repr(v)` and `"%.6g" % v` of float64 columns, laid out as bytes.
 
-text_block(values, shortest) returns one NUL-padded row of bytes per
-value, holding exactly the text of Python's correctly rounded conversion
-(Gay 1990; Adams, Ryu, PLDI 2018), with no Python call per value:
+text_block(values, fmt) returns one NUL-padded row of bytes per value,
+holding exactly the text of Python's correctly rounded conversion
+(Steele & White, PLDI 1990; Gay 1990; Adams, Ryu, PLDI 2018), with no
+Python call per value. The float columns of pattern CSV (`%.17g`) and
+JSON (`%r`) and the points of an SVG polyline (`%.6g`) use it.
 
+`%.17g` and repr:
 - scale: |v| * 10^k in double-double arithmetic, a Dekker/Veltkamp
   two-product against a hi + lo table of powers of ten, with k chosen so
   that the scaled value y lies in [1e16, 1e17). numpy ufuncs never fuse a
@@ -23,6 +26,14 @@ value, holding exactly the text of Python's correctly rounded conversion
   each exponent, or scientific); within a class every field has one
   column, so the digits, point, leading "0.000" and exponent are copied
   as column slices. NULs pad what a class does not use.
+
+`%.6g` covers [10, 1000), where it is fixed notation with 2 or 3 integer
+digits: the range of SVG pixel coordinates. v * 10^4 (below 100) or
+v * 10^3 is rounded to an integer n < 10^6, whose text is two table
+entries OR-ed together: the integer part and the fraction with its
+trailing zeros (and a bare point) dropped. A cell within _TOL of a tie,
+one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and any v
+outside [10, 1000) fall back to `%`.
 """
 
 from __future__ import annotations
@@ -34,16 +45,17 @@ import numpy as np
 
 from . import analysis
 
-#: Bytes per row: the longest text is "-1.2345678901234567e-308".
-WIDTH = 24
+#: Bytes per row of each format: the longest texts are
+#: "-1.2345678901234567e-308" and "-1.23457e-308".
+WIDTH = {"%.17g": 24, "%r": 24, "%.6g": 13}
 #: Nonzero |v| printed without `%`: every 10^k the scaling uses, its two
 #: halves and its low part stay normal and finite.
 _LOWEST, _HIGHEST = 1e-290, 1e290
 #: The scaling's k = 16 - exponent, one step either side of the exponents
 #: of [_LOWEST, _HIGHEST].
 _KMIN, _KMAX = 16 - 291, 16 + 291
-#: Distance, in units of y, from a tie or an interval edge inside which the
-#: double-double result is not trusted.
+#: Distance, in units of y (or of n for `%.6g`), from a tie or an interval
+#: edge inside which the computed result is not trusted.
 _TOL = 1e-9
 #: Veltkamp's splitter for 53-bit doubles, 2^27 + 1.
 _SPLIT = 134217729.0
@@ -208,7 +220,7 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool) -> np.ndar
     digits[:, 0] = first + _ZERO
     digits[:, 1:] = np.take(tables.groups, groups + 10**4 * stripped).view(np.uint8).reshape(size, 16)
 
-    block = np.zeros((size, WIDTH), np.uint8)
+    block = np.zeros((size, WIDTH["%.17g"]), np.uint8)
     stop = 0
     for cls, count in enumerate(counts.tolist()):
         rows = slice(stop, stop + count)
@@ -240,10 +252,10 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool) -> np.ndar
     return np.take(block, inverse, 0)
 
 
-def text_rows(parts: tuple, shortest: bool) -> Iterator[str]:
+def text_rows(parts: tuple, fmt: str) -> Iterator[str]:
     """The rows "".join(parts), where a str part is written as it is and an
-    array part by its i-th value's text (see text_block), in chunks of
-    analysis._EVENT_CHUNK rows.
+    array part by `fmt % value` of its i-th value (see text_block), in
+    chunks of analysis._EVENT_CHUNK rows.
 
     Each chunk is laid out as bytes, the str parts broadcast next to the
     text blocks, and the NULs dropped: no str part may hold a NUL.
@@ -260,27 +272,32 @@ def text_rows(parts: tuple, shortest: bool) -> Iterator[str]:
         fields = [
             np.broadcast_to(constant[index], (stop - start, constant[index].size))
             if index in constant
-            else text_block(part[start:stop], shortest)
+            else text_block(part[start:stop], fmt)
             for index, part in enumerate(parts)
         ]
         block = np.hstack(fields)
         yield str(memoryview(block[block != 0]), "utf-8")
 
 
-def text_block(values: np.ndarray, shortest: bool) -> np.ndarray:
-    """(len(values), WIDTH) uint8: row i holds `repr(values[i])` if shortest,
-    else `"%.17g" % values[i]`, padded with NULs. The values must be finite."""
+def text_block(values: np.ndarray, fmt: str) -> np.ndarray:
+    """(len(values), WIDTH[fmt]) uint8: row i holds `fmt % values[i]`, padded
+    with NULs; fmt is "%.17g", "%r" or "%.6g". For "%.17g" and "%r" the
+    values must be finite."""
     values = np.asarray(values, np.float64)
-    block = np.empty((values.size, WIDTH), np.uint8)
+    width = WIDTH[fmt]
+    block = np.empty((values.size, width), np.uint8)
     for start in range(0, values.size, _PIECE):
         piece, rows = values[start : start + _PIECE], block[start : start + _PIECE]
-        number, exponent, fall_back = _decimal(piece, shortest)
-        rows[:] = _layout(number, exponent, shortest)
-        rows[:, 0] = np.signbit(piece) * ord("-")
+        if fmt == "%.6g":
+            fall_back = _fixed6(piece, rows)
+        else:
+            shortest = fmt == "%r"
+            number, exponent, fall_back = _decimal(piece, shortest)
+            rows[:] = _layout(number, exponent, shortest)
+            rows[:, 0] = np.signbit(piece) * ord("-")
         if fall_back.any():
-            template = "%r" if shortest else "%.17g"
-            texts = [template % value for value in piece[fall_back].tolist()]
-            rows[fall_back] = np.array(texts, f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+            texts = [fmt % value for value in piece[fall_back].tolist()]
+            rows[fall_back] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
     return block
 
 
@@ -295,3 +312,48 @@ def _decimal(values: np.ndarray, shortest: bool):
     number[zero] = 0
     exponent[zero] = 0
     return number, exponent, fall_back & inside | ~(inside | zero)
+
+
+@functools.cache
+def _fixed6_tables() -> tuple[np.ndarray, np.ndarray]:
+    """uint64 texts, built on first use: of the integers 0..999, and of the
+    fractions .000-.999 placed after 3 integer digits, then .0000-.9999
+    placed after 2, each with trailing zeros and a bare point dropped.
+    The first SVG of a process pays the build: numpy makes the fractions
+    in about 1 ms, against 5-7 ms formatting each text in Python."""
+    # The digits of 0..9999, NUL where they are trailing zeros (all of 0's).
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    stripped = (digits + _ZERO) * (np.maximum.accumulate(digits[:, ::-1], 1)[:, ::-1] != 0)
+    fractions = np.zeros((1000 + 10**4, 8), np.uint8)
+    fractions[1:1000, 3] = fractions[1001:, 2] = _POINT
+    fractions[:1000, 4:7] = stripped[::10, :3]  # .ddd is .ddd0
+    fractions[1000:, 3:7] = stripped
+    integers = np.array([b"%d" % i for i in range(1000)], "S8").view(np.uint64)
+    return integers, fractions.view(np.uint64).ravel()
+
+
+def _fixed6(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lays `"%.6g" % v` out into rows for v in [10, 1000) and returns the
+    mask of the cells that fall back."""
+    inside = (values >= 10) & (values < 1000)
+    if not inside.all():
+        values = np.where(inside, values, 10.0)
+    small = values < 100
+    scale = np.where(small, 1e4, 1e3)
+    # v * scale < 10^6 is off by at most half an ulp, below 1.2e-10, from
+    # the exact product: where that is more than _TOL from a half, its
+    # rounding n is the exact product's.
+    scaled = values * scale
+    whole = np.rint(scaled)
+    fall_back = ~inside | (np.abs(scaled - whole) > 0.5 - _TOL) | (whole == 10**6)
+    # A quotient of integers below 10^6 that is no integer lies at least
+    # 10^-4 below the next one, far beyond its rounding: the floor is exact.
+    integer = np.floor(whole / scale)
+    fraction = whole - integer * scale + small * 1000
+    integers, fractions = _fixed6_tables()
+    # An n of 10^6 indexes past the table: clipped, its row falls back.
+    cells = np.take(integers, integer.astype(np.intp), mode="clip")
+    cells |= np.take(fractions, fraction.astype(np.intp))
+    rows[:, :8] = cells.view(np.uint8).reshape(-1, 8)
+    rows[:, 8:] = 0
+    return fall_back

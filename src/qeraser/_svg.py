@@ -1,7 +1,9 @@
 """Minimal self-contained SVG charts (no plotting dependency).
 
 Output is deterministic: fixed canvas, fixed tick count, and all numbers
-formatted with %.6g, so identical data yields byte-identical files.
+printed as %.6g, so identical data yields byte-identical files. The
+points of a line chart are laid out as bytes by _float_text, with the
+same text; ticks and bar charts are formatted by `%` (analysis._rows).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import analysis
+from . import _float_text, analysis
 
 WIDTH, HEIGHT = 720, 460
 MARGIN_LEFT, MARGIN_RIGHT = 80, 24
@@ -69,7 +71,8 @@ def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[str]:
     py = MARGIN_TOP + PLOT_H - _scale(ys, 0.0, y_hi, PLOT_H)
     head = '<polyline points="%.6g,%.6g' % (px[0], py[0])
     tail = '" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
-    marks = chain((head,), analysis._rows(" %.6g,%.6g", (px[1:], py[1:])), (tail,))
+    points = _float_text.text_rows((" ", px[1:], ",", py[1:]), "%.6g")
+    marks = chain((head,), points, (tail,))
     return _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label)
 
 

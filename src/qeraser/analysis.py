@@ -60,7 +60,7 @@ class JointTable:
         if not isinstance(self.row_labels, range):
             object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        probs = np.asarray(self.probabilities, dtype=np.float64)
+        probs = core._real_array(self.probabilities, "joint table entries")
         rows, cols = len(self.row_labels), len(self.col_labels)
         if probs.shape != (rows, cols):
             raise DimensionMismatchError(f"table shape {probs.shape} does not match labels")
@@ -216,8 +216,8 @@ _SHORT_DIGITS = np.where(np.maximum(_INDEX, 1) < _POWER, 0, _LOW_DIGITS)
 
 def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
     """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk:
-    the rows of SVG marks, joint tables, and pattern columns too short or
-    too mixed for _float_text (see cli.FLOAT_TEXT_MIN)."""
+    the rows of SVG ticks and bar charts, joint tables, and pattern columns
+    too short or too mixed for _float_text (see cli.FLOAT_TEXT_MIN)."""
     width = len(columns)
     for start in range(0, len(columns[0]), _EVENT_CHUNK):
         parts = [column[start : start + _EVENT_CHUNK].tolist() for column in columns]

@@ -425,10 +425,11 @@ SCENARIOS = {
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
 # built as main writes them, analysis._EVENT_CHUNK rows at a time. A chunk
-# of float pattern columns of FLOAT_TEXT_MIN rows or more is laid out as
-# bytes (_float_text.text_rows); the other pattern and SVG chunks are
-# formatted by one `%` (analysis._rows), and an event-log chunk is laid out
-# as bytes (analysis.event_log_chunks); joint tables are one chunk.
+# of float pattern columns of FLOAT_TEXT_MIN rows or more, and every chunk
+# of SVG line-chart points, is laid out as bytes (_float_text.text_rows);
+# the other pattern chunks, SVG ticks and bar charts are formatted by one
+# `%` (analysis._rows), and an event-log chunk is laid out as bytes
+# (analysis.event_log_chunks); joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +461,7 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     # The laid-out rows join the columns' text and the tail as bytes and
     # drop the NULs that pad the text: a printable tail holds no NUL.
     if xs.dtype.kind == "f" and xs.size >= FLOAT_TEXT_MIN and tail[:-1].isprintable():
-        rows = _float_text.text_rows((xs, ",", probs, tail), shortest=False)
+        rows = _float_text.text_rows((xs, ",", probs, tail), "%.17g")
     else:
         row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
         rows = analysis._rows(row + tail.replace("%", "%%"), (xs, probs))
@@ -470,7 +471,7 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
     if column.dtype.kind == "f" and column.size >= FLOAT_TEXT_MIN:
-        items = _float_text.text_rows((",\n    ", column), shortest=True)
+        items = _float_text.text_rows((",\n    ", column), "%r")
     else:
         items = analysis._rows(",\n    %r", (column,))
     yield "[" + next(items)[1:]

@@ -102,6 +102,15 @@ def _unit_vector(values, length: int | None, name: str) -> np.ndarray:
     return _exactly_normalized(_as_complex_vector(values, length, name), name)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float64 array. Entries that are not real numbers (str,
+    bytes, complex, objects) raise TypeError instead of being parsed or cast."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must be real numbers, not {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def checked_probabilities(values, what: str) -> np.ndarray:
     """Read-only float64 copy of a probability array, clipped to [0, 1].
 
@@ -136,7 +145,7 @@ class Distribution:
     condition: str = "none"
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
+        p = _real_array(self.probabilities, "probabilities").reshape(-1)
         if p.size == 0:
             raise DimensionMismatchError("a distribution needs at least one outcome")
         object.__setattr__(self, "probabilities", checked_probabilities(p, "probabilities"))

@@ -34,6 +34,8 @@ class MarkerState:
     label: str = "marker"
 
     def __post_init__(self):
+        if isinstance(self.c1, str) or isinstance(self.c2, str):
+            raise TypeError("marker amplitudes must be numbers, not strings")
         c1, c2 = complex(self.c1), complex(self.c2)
         for c in (c1, c2):
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -501,6 +502,22 @@ class TestProbabilityValidator:
     def test_rejected_by_every_probability_type(self, build, values):
         with pytest.raises(AssertionError):
             build(values)
+
+    @pytest.mark.parametrize("build", [_distribution, _table])
+    @pytest.mark.parametrize(
+        "values",
+        [["abc"] * 4, ["0.25"] * 4, [b"0.25"] * 4, [0.25 + 0j] * 4, [Fraction(1, 4)] * 4],
+        ids=["junk", "numeric-str", "bytes", "complex", "objects"],
+    )
+    def test_non_real_entries_are_a_type_error(self, build, values):
+        """Nothing is parsed or cast: "0.25" is no probability."""
+        with pytest.raises(TypeError):
+            build(values)
+
+    @pytest.mark.parametrize("values", ["abc", "1", b"1"])
+    def test_distribution_parses_no_string(self, values):
+        with pytest.raises(TypeError):
+            Distribution(values)
 
     @pytest.mark.parametrize("build", [_distribution, _table])
     def test_valid_values_clipped_and_read_only(self, build):

@@ -1,11 +1,12 @@
-"""The byte-laid float text of pattern CSV and JSON against Python's own `%`.
+"""The byte-laid float text of pattern CSV, JSON and SVG against Python's own `%`.
 
-_float_text.text_block must print exactly `"%.17g" % v` and `repr(v)`:
-these differential tests cover random doubles, every power of two and its
-neighbours (exact 17-digit ties such as 2**-25 among them), zeros,
-subnormals, the edges between fixed and scientific notation and the
-doubles next to every power of ten, where the first guess of the decimal
-exponent can be one off.
+_float_text.text_block must print exactly `"%.17g" % v`, `repr(v)` and
+`"%.6g" % v`: these differential tests cover random doubles, every power
+of two and its neighbours (exact 17-digit ties such as 2**-25 among
+them), zeros, subnormals, the edges between fixed and scientific notation
+and the doubles next to every power of ten, where the first guess of the
+decimal exponent can be one off; for `%.6g` also pixel coordinates: the
+decade edges, near-ties at 6 digits and dyadic pixels.
 """
 
 import json
@@ -22,24 +23,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from qeraser import _float_text, analysis, cli, twoslit
+from qeraser import _float_text, _svg, analysis, cli, twoslit
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def expected(values, shortest):
-    return ["%r" % v if shortest else "%.17g" % v for v in np.asarray(values).tolist()]
+def expected(values, fmt):
+    return [fmt % v for v in np.asarray(values).tolist()]
 
 
-def texts(values, shortest):
-    block = _float_text.text_block(np.asarray(values, np.float64), shortest)
-    assert block.shape == (len(values), _float_text.WIDTH)
+def texts(values, fmt):
+    block = _float_text.text_block(np.asarray(values, np.float64), fmt)
+    assert block.shape == (len(values), _float_text.WIDTH[fmt])
     return [bytes(row[row != 0]).decode() for row in block]
 
 
-def assert_same_text(values):
-    for shortest in (False, True):
-        assert texts(values, shortest) == expected(values, shortest)
+def assert_same_text(values, formats=tuple(_float_text.WIDTH)):
+    for fmt in formats:
+        assert texts(values, fmt) == expected(values, fmt)
 
 
 def with_neighbours(values, steps=1):
@@ -62,7 +63,7 @@ class TestDifferential:
         powers = np.ldexp(1.0, np.arange(-1074, 1024))
         assert_same_text(with_neighbours(powers))
         # 2^-25 = 2.98023223876953125e-08: an exact tie at 17 digits, rounded to even.
-        assert texts([2.0**-25], False) == ["2.9802322387695312e-08"]
+        assert texts([2.0**-25], "%.17g") == ["2.9802322387695312e-08"]
 
     def test_zeros_and_subnormals(self):
         tiny = np.ldexp(np.arange(1, 2**12, 7, dtype=np.float64), -1074)
@@ -113,21 +114,80 @@ class TestDifferential:
     def test_chunk_pieces_keep_row_order(self):
         values = np.random.default_rng(5).standard_normal(3 * _float_text._PIECE + 17) ** 7
         assert_same_text(values)
+        assert_same_text(np.random.default_rng(5).uniform(0.0, 2000.0, 3 * _float_text._PIECE + 17))
+
+    def test_fixed6_decade_edges(self):
+        """10, 100 and 1000 with their neighbours, and values that round up a
+        decade at 6 digits (99.999951 prints "100", 999.9995 "1000")."""
+        edges = [10.0, 100.0, 1000.0, 99.99995, 99.999951, 999.9995, 999.99949999, 9.999995]
+        values = with_neighbours(edges, steps=3)
+        assert_same_text(values, ["%.6g"])
+        assert texts([999.9995, 99.999951, 100.0625], "%.6g") == ["1000", "100", "100.062"]
+
+    def test_fixed6_near_ties(self):
+        """Values whose scaled fraction lies within 1e-9 of a half, or a little
+        farther, on both sides, with their neighbours."""
+        rng = np.random.default_rng(11)
+        whole = rng.integers(10**5, 10**6, 2000).astype(np.float64)
+        scale = np.where(np.arange(whole.size) % 2, 1e3, 1e4)
+        for offset in (0.0, 1e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6):
+            for sign in (1, -1):
+                values = (whole + 0.5 + sign * offset) / scale
+                assert_same_text(with_neighbours(values[(values >= 10) & (values < 1000)]), ["%.6g"])
+
+    def test_fixed6_dyadic_pixels(self):
+        """k / 2^m in [48, 696], the pixel range of both axes: exact binary
+        fractions, ties at 6 digits among them (100.0625), and their neighbours."""
+        rng = np.random.default_rng(13)
+        for m in range(0, 30):
+            steps = rng.integers(48 << m, (696 << m) + 1, 400).astype(np.float64)
+            assert_same_text(with_neighbours(np.ldexp(steps, -m)), ["%.6g"])
+        assert_same_text(with_neighbours(np.arange(48 * 16, 696 * 16 + 1) / 16), ["%.6g"])
+
+    @given(st.lists(st.floats(10.0, 1000.0, exclude_max=True), min_size=1, max_size=60))
+    def test_fixed6_random_pixels(self, values):
+        assert_same_text(values, ["%.6g"])
+
+    def test_fixed6_uniform_pixels(self):
+        assert_same_text(np.random.default_rng(17).uniform(10.0, 1000.0, 10**5), ["%.6g"])
+
+    def test_fixed6_out_of_range_cells_fall_back(self):
+        values = [0.0, -0.0, -1.0, -500.0, 1e-5, 9.99, 1e300, -1e-308, 5e-324,
+                  1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        assert_same_text(values, ["%.6g"])
+        block = np.empty((len(values), _float_text.WIDTH["%.6g"]), np.uint8)
+        assert _float_text._fixed6(np.array(values), block).all()
+        assert texts([-1.234567e-308], "%.6g") == ["-1.23457e-308"]  # the widest text
 
 
-def screen_columns():
-    """Positions and probabilities of a 2^18-bin gaussian two-slit screen."""
-    geometry = twoslit.ScreenGeometry(1.0, 0.5, 100.0, -100.0, 100.0, 2**18)
+def screen_columns(bins=2**18):
+    """Positions and probabilities of a gaussian two-slit screen."""
+    geometry = twoslit.ScreenGeometry(1.0, 0.5, 100.0, -100.0, 100.0, bins)
     grid = twoslit.build_grid(geometry, "gaussian", 40.0)
     pattern, _ = twoslit.pattern_conditioned(grid, 0.3, "minus")
     return grid.positions, pattern.probabilities
 
 
-@pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
-def test_fallback_share_on_a_wide_screen(shortest):
+@pytest.mark.parametrize("fmt", ["%.17g", "%r"], ids=["%.17g", "repr"])
+def test_fallback_share_on_a_wide_screen(fmt):
     """At most 1% of a real pattern's cells are printed by `%`."""
     for column in screen_columns():
-        assert _float_text._decimal(column, shortest)[2].mean() <= 0.01
+        assert _float_text._decimal(column, fmt == "%r")[2].mean() <= 0.01
+
+
+def test_fallback_share_on_a_wide_polyline(monkeypatch):
+    """None of the points of a 2^16-bin screen's polyline is printed by `%`."""
+    masks, fixed6 = [], _float_text._fixed6
+
+    def counted(values, rows):
+        masks.append(fixed6(values, rows))
+        return masks[-1]
+
+    monkeypatch.setattr(_float_text, "_fixed6", counted)
+    xs, ps = screen_columns(2**16)
+    "".join(_svg.line_chart(xs, ps, "t", "x", "probability", "{}"))
+    assert sum(mask.size for mask in masks) == 2 * (2**16 - 1)
+    assert sum(mask.sum() for mask in masks) == 0
 
 
 def test_table_is_built_on_first_use_not_at_import():
@@ -135,13 +195,22 @@ def test_table_is_built_on_first_use_not_at_import():
         "import qeraser.cli\n"
         "from qeraser import _float_text\n"
         "assert _float_text._tables.cache_info().currsize == 0\n"
+        "assert _float_text._fixed6_tables.cache_info().currsize == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_fixed6_tables_hold_each_text():
+    integers, fractions = _float_text._fixed6_tables()
+    texts = [b"\0\0\0" + (b".%03d" % f).rstrip(b"0").rstrip(b".") for f in range(1000)]
+    texts += [b"\0\0" + (b".%04d" % f).rstrip(b"0").rstrip(b".") for f in range(10**4)]
+    assert fractions.tolist() == np.array(texts, "S8").view(np.uint64).tolist()
+    assert integers.tolist() == np.array([b"%d" % i for i in range(1000)], "S8").view(np.uint64).tolist()
+
+
 class TestEmitters:
-    """Pattern CSV and JSON through the laid-out rows equal the reference text."""
+    """Pattern CSV, JSON and SVG through the laid-out rows equal the reference text."""
 
     @given(
         columns=st.integers(1, 40).flatmap(
@@ -164,12 +233,40 @@ class TestEmitters:
         assert csv == oracles.pattern_csv(payload, echo)
         assert doc == oracles.pattern_json(payload, echo)
 
+    @given(
+        points=st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.one_of(
+                    st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+                    st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
+                ),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            )
+        ),
+        chart=st.sampled_from(["line", "bar"]),
+        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK]),
+    )
+    @example(points=([3.5, 3.5, 3.5], [0.2, 0.5, 0.3]), chart="line", chunk=1)  # hi == lo
+    @example(points=([7.0], [0.0]), chart="line", chunk=7)  # no point after the first
+    def test_laid_out_svg_marks_equal_the_reference_text(self, points, chart, chunk):
+        xs, ps = points
+        payload = {"x": xs, "p": ps, "title": "t", "x_label": "x", "chart": chart}
+        with mock.patch.object(analysis, "_EVENT_CHUNK", chunk):
+            svg = "".join(cli.emit_pattern_svg(payload, "{}"))
+        if chart == "line":
+            assert f'<polyline points="{oracles.line_chart_points(xs, ps)}" ' in svg
+        else:
+            assert svg.endswith("\n" + oracles.bar_chart_marks(xs, ps) + "</svg>\n")
+
     def test_wide_screen_rows_equal_the_reference_text(self):
         xs, ps = screen_columns()
-        payload = {"x": xs[:40000], "p": ps[:40000], "condition": "dminus[theta=0.3]"}
+        payload = {"x": xs[:40000], "p": ps[:40000], "condition": "dminus[theta=0.3]",
+                   "title": "t", "x_label": "x", "chart": "line"}
         assert payload["x"].size >= cli.FLOAT_TEXT_MIN
         assert "".join(cli.emit_pattern_csv(payload, "{}")) == oracles.pattern_csv(payload, "{}")
         assert "".join(cli.emit_pattern_json(payload, "{}")) == oracles.pattern_json(payload, "{}")
+        points = oracles.line_chart_points(payload["x"], payload["p"])
+        assert f'<polyline points="{points}" ' in "".join(cli.emit_pattern_svg(payload, "{}"))
 
 
 def src_env(**extra) -> dict:

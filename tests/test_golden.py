@@ -61,6 +61,12 @@ CASES = {
          "--theta", "0.3", "--sign", "minus", "--format", "csv"], None,
         "1cc432c1ef04f48081ae540d6b64e86fdbe8844535311878722b2b043d68538f",
     ),
+    # 4096 points, where the other svg cases have 512 points or 10 bars
+    "twoslit-custom-gaussian-wide-svg": (
+        ["twoslit", *CUSTOM_SCREEN[:-2], "--bins", "4096", "--envelope", "gaussian",
+         "--sigma", "40", "--theta", "0.3", "--sign", "minus", "--format", "svg"], None,
+        "251d1826e166d85c9ace59d38e4d94f5bd6ed29f44557e5d03af458bb376edf1",
+    ),
     "epr-csv": (
         ["epr", "--basis1", "x", "--basis2", "x", "--format", "csv"], None,
         "4ed893253e20de1a31c2654f45b529e492c416480fb97aed1aaf976a86569dd8",

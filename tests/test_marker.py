@@ -92,6 +92,16 @@ def test_non_finite_theta_rejected():
             erasure_basis(bad)
 
 
+@pytest.mark.parametrize(
+    "c1, c2", [("x", 0), ("1", 0), (0, "1"), (np.str_("1"), 0)],
+    ids=["junk", "numeric", "second", "numpy-str"],
+)
+def test_marker_state_parses_no_string(c1, c2):
+    """A str amplitude is a TypeError: "1" is not read as 1 + 0j."""
+    with pytest.raises(TypeError):
+        MarkerState(c1, c2)
+
+
 def test_marker_state_must_be_normalized():
     with pytest.raises(ValueError):
         MarkerState(1.0, 1.0)
