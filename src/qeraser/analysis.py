@@ -284,8 +284,8 @@ def sample_outcomes(table: JointTable, count: int, seed: int) -> np.ndarray:
 
 
 def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_labels):
-    """(cell draws, int row labels, column count, seed) of an event log,
-    after every check.
+    """(cell draws, int row labels, column count, seed, count) of an event
+    log, after every check.
 
     Both event-log paths call this before drawing anything, so a bad input
     raises before the first event or byte.
@@ -301,7 +301,8 @@ def _event_inputs(state, marker_basis, order, count, seed, scenario_id, system_l
             core._integer(label, "system label", -math.inf, math.inf, ValidationError)
             for label in labels
         ]
-    return _draws(table, count, seed), labels, len(table.col_labels), int(seed)
+    draws = _draws(table, count, seed)  # checks the seed and the count
+    return draws, labels, len(table.col_labels), int(seed), int(count)
 
 
 def sample_events(
@@ -323,7 +324,7 @@ def sample_events(
     system_labels, when given, must be integers (e.g. 1-based detector
     numbers) and are used as the logged system outcomes.
     """
-    draws, labels, columns, seed = _event_inputs(
+    draws, labels, columns, seed, _ = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
     rows, markers = np.divmod(np.concatenate(list(draws)), columns)
@@ -350,38 +351,51 @@ def event_log_chunks(
     rows are drawn and laid out _EVENT_CHUNK at a time, and no record
     object is built.
     """
-    draws, labels, columns, seed = _event_inputs(
+    draws, labels, columns, seed, count = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    # Each row is laid out as bytes: prefix, index digits, the drawn cell's
-    # `,label,marker` and suffix side by side, each field NUL-padded to one
-    # width, and the NULs dropped. No field holds a NUL of its own:
-    # scenario_id is printable, the labels and the seed are ints and the
-    # order is one of ORDERS.
-    prefix = np.frombuffer(f"{scenario_id},".encode(), np.uint8)
-    suffix = np.frombuffer(f",{order},{seed}\n".encode(), np.uint8)
+    # Every row is laid out as bytes in one template of min(count,
+    # _EVENT_CHUNK) rows: `scenario_id,`, the index's digits above the last
+    # four (NUL-padded on the left to one width), its last four digits, the
+    # drawn cell's `,label,marker` (NUL-padded to one width) and
+    # `,order,seed\n`. The constant first and last columns are written once;
+    # each chunk overwrites the others in its rows and drops the NULs. No
+    # field holds a NUL of its own: scenario_id is printable, the labels and
+    # the seed are ints and the order is one of ORDERS. The NULs are sparse,
+    # so bytes.replace drops them faster than a mask over every byte
+    # (BENCH_27.json).
     heads = np.array([f",{label}," for label in labels], dtype="S")
     cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
     cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
     cells[..., -1] = np.arange(columns) + ord("0")  # a marker outcome is 0 or 1
     cells = cells.reshape(-1, heads.itemsize + 1)
+    prefix = np.frombuffer(f"{scenario_id},".encode(), np.uint8)
+    suffix = np.frombuffer(f",{order},{seed}\n".encode(), np.uint8)
+    # The columns end at c0 (prefix), c1 (high digits), c2 (low digits) and c3 (cell).
+    c0 = prefix.size
+    c1 = c0 + len(str((count - 1) // _INDEX_RUN or ""))
+    c2 = c1 + 4
+    c3 = c2 + cells.shape[1]
+    template = np.empty((min(count, _EVENT_CHUNK), c3 + suffix.size), np.uint8)
+    template[:, :c0] = prefix
+    template[:, c3:] = suffix
 
     def rows():
         yield EVENT_LOG_HEADER + "\n"
         start = 0
         for chunk in draws:
             stop = start + chunk.size
-            blocks = []
-            # One block per run of indices with the same high digits.
+            block = template[: chunk.size]
+            # One run of indices with the same high digits at a time.
             for high in range(start // _INDEX_RUN, (stop - 1) // _INDEX_RUN + 1):
                 base = high * _INDEX_RUN
                 first, last = max(start, base), min(stop, base + _INDEX_RUN)
-                highs = np.frombuffer(str(high or "").encode(), np.uint8)
-                lows = (_LOW_DIGITS if high else _SHORT_DIGITS)[first - base : last - base]
-                fields = (prefix, highs, lows, cells[chunk[first - start : last - start]], suffix)
-                block = np.hstack([np.broadcast_to(f, (last - first, f.shape[-1])) for f in fields])
-                blocks.append(block[block != 0])
-            yield str(memoryview(np.concatenate(blocks)), "utf-8")
+                run = block[first - start : last - start]
+                digits = str(high or "").rjust(c1 - c0, "\0").encode()
+                run[:, c0:c1] = np.frombuffer(digits, np.uint8)
+                run[:, c1:c2] = (_LOW_DIGITS if high else _SHORT_DIGITS)[first - base : last - base]
+            np.take(cells, chunk, axis=0, out=block[:, c2:c3])
+            yield block.tobytes().replace(b"\0", b"").decode()
             start = stop
 
     return rows()

@@ -428,20 +428,25 @@ SCENARIOS = {
 # of float pattern columns of FLOAT_TEXT_MIN rows or more, and every chunk
 # of SVG line-chart points, is laid out as bytes (_float_text.text_rows);
 # the other pattern chunks, SVG ticks and bar charts are formatted by one
-# `%` (analysis._rows), and an event-log chunk is laid out as bytes
-# (analysis.event_log_chunks); joint tables are one chunk.
+# `%` (analysis._rows). An event log's chunks are laid out as bytes in one
+# block reused for the whole log (analysis.event_log_chunks); joint tables
+# are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
     """index_or_x as given (integer detectors or float positions), probabilities as floats.
 
-    Both columns must be finite numbers: then the `%d`/`%.17g`/`%r` rows
-    equal str.format and json.dumps.
+    Both columns must be 1-D, of one length and finite numbers: then the
+    `%d`/`%.17g`/`%r` rows equal str.format and json.dumps.
     """
     xs = np.asarray(payload["x"])
     probs = np.asarray(payload["p"], dtype=np.float64)
     if probs.size == 0:
         raise ValidationError("cannot emit an empty pattern")
+    if xs.ndim != 1 or xs.shape != probs.shape:
+        raise ValidationError(
+            f"pattern x and p must be 1-D columns of one length, got {xs.shape} and {probs.shape}"
+        )
     if xs.dtype.kind not in "iuf":
         raise ValidationError("pattern x must be integers or floats")
     if not (np.isfinite(xs).all() and np.isfinite(probs).all()):

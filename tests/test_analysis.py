@@ -442,6 +442,45 @@ class TestEventLogChunks:
             assert streamed == reference_log(*args)
         assert streamed == oracle_log(*args)
 
+    @pytest.mark.parametrize("scenario", ["nchannel", "epr"])
+    @pytest.mark.parametrize("count", [10**4, 10**4 + 1, 10**5 + 1])
+    def test_run_boundaries_before_on_and_after_a_chunk_boundary(self, scenario, count):
+        """The 10^4 runs of index digits against chunks of 10^4 - 1, 10^4
+        and 10^4 + 1 rows, where the last chunk is often shorter than the
+        template the rows are laid out in: no row of an earlier chunk may
+        leak into a later one. nchannel's labels 1..10 have two widths,
+        so its cells are padded; epr's 0 and 1 need no padding."""
+        state, labels = SCENARIO_MODELS[scenario]
+        args = (state, erasure_basis(0.6), MARKER_FIRST, count, 21, "s", labels)
+        expected = oracle_log(*args)
+        for size in (10**4 - 1, 10**4, 10**4 + 1):
+            with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+                chunks = list(event_log_chunks(*args))
+            assert [text.count("\n") for text in chunks[1:]] == [
+                min(size, count - start) for start in range(0, count, size)
+            ]
+            assert "".join(chunks) == expected, size
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [-j for j in range(1, 11)],
+            [10**j for j in range(10)],
+            [2**63 + j for j in range(9)] + [-(2**64)],
+            [-(10**30), 0, 5, -5, 99, 10**25, 7, -123456, 2**63 - 1, -(2**63)],
+        ],
+        ids=["negative", "mixed_width", "beyond_int64", "all_kinds"],
+    )
+    def test_labels_of_any_sign_and_width(self, labels):
+        """Negative, mixed-width and beyond-int64 labels under a multi-byte
+        UTF-8 scenario_id, with a last chunk of one row."""
+        state, _ = SCENARIO_MODELS["nchannel"]
+        args = (state, erasure_basis(1.1), SYSTEM_FIRST, 2 * 10**4 + 1, 3, "π-ü€", labels)
+        with mock.patch.object(analysis, "_EVENT_CHUNK", 10**4):
+            chunks = list(event_log_chunks(*args))
+        assert chunks[-1].count("\n") == 1
+        assert "".join(chunks) == oracle_log(*args)
+
     @pytest.mark.parametrize(
         "count, seed, scenario_id, labels, error",
         [

@@ -740,6 +740,26 @@ class TestEmitters:
             with pytest.raises(ValidationError):
                 emit(payload, "{}")
 
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            ([0.0, 1.0, 2.0], [0.5, 0.5]),
+            ([1, 2], [0.2, 0.3, 0.5]),
+            (np.linspace(0.0, 1.0, 2000), np.full(1000, 1e-3)),
+            ([], [1.0]),
+            ([[0.0, 1.0]], [0.5, 0.5]),
+            ([[0.0], [1.0]], [[0.5], [0.5]]),
+            (0.0, [1.0]),
+        ],
+    )
+    def test_columns_of_other_shapes_raise_before_any_chunk(self, x, p):
+        """x and p must be 1-D columns of one length, on every emitter."""
+        payload = {"x": x, "p": p, "condition": "none",
+                   "x_label": "x", "title": "t", "chart": "line"}
+        for emit in (cli.emit_pattern_csv, cli.emit_pattern_json, cli.emit_pattern_svg):
+            with pytest.raises(ValidationError, match="1-D columns of one length"):
+                emit(payload, "{}")
+
 
 class TestCheck:
     def test_check_passes(self, capsys):
