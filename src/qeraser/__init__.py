@@ -10,7 +10,7 @@ analysis layer verifies that joint statistics are independent of the
 measurement ordering and provides deterministic seeded event sampling.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .analysis import (
     MARKER_FIRST,
@@ -20,6 +20,7 @@ from .analysis import (
     epr_correlation_table,
     epr_state,
     joint_distribution,
+    joint_distributions,
     mutual_information,
     ordering_invariance_residual,
     sample_events,
@@ -98,6 +99,7 @@ __all__ = [
     "final_state_bare",
     "final_state_marked",
     "joint_distribution",
+    "joint_distributions",
     "make_state",
     "marked_state",
     "mutual_information",

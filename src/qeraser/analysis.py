@@ -32,8 +32,8 @@ from . import core
 from .errors import (
     DimensionMismatchError,
     InvalidCountError,
+    NoMarkerError,
     ValidationError,
-    ZeroProbabilityError,
 )
 from .marker import SQRT_HALF, erasure_basis, which_path_basis
 from .rng import SplitMix64, unit_floats
@@ -57,15 +57,34 @@ class JointTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.row_labels, range):
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
         probs = core._real_array(self.probabilities, "joint table entries")
-        rows, cols = len(self.row_labels), len(self.col_labels)
-        if probs.shape != (rows, cols):
-            raise DimensionMismatchError(f"table shape {probs.shape} does not match labels")
+        _set_labels(self, self.row_labels, self.col_labels, probs.shape)
         probs = core.checked_probabilities(probs, "joint table entries")
         object.__setattr__(self, "probabilities", probs)
+
+
+def _set_labels(table: JointTable, row_labels, col_labels, shape) -> None:
+    """Store JointTable's labels on `table`, a range of row labels as a
+    range and any other labels as tuples, once they match `shape`."""
+    if not isinstance(row_labels, range):
+        row_labels = tuple(row_labels)
+    col_labels = tuple(col_labels)
+    if shape != (len(row_labels), len(col_labels)):
+        raise DimensionMismatchError(f"table shape {shape} does not match labels")
+    table.__dict__.update(row_labels=row_labels, col_labels=col_labels)
+
+
+def _checked_table(row_labels, col_labels, probabilities: np.ndarray) -> JointTable:
+    """JointTable around probabilities that core._checked_stack returned.
+
+    Skips JointTable's probability checks, which _checked_stack has made,
+    as core._normalized_state wraps states; the labels are stored and
+    counted as JointTable does.
+    """
+    table = object.__new__(JointTable)
+    _set_labels(table, row_labels, col_labels, probabilities.shape)
+    table.__dict__["probabilities"] = probabilities
+    return table
 
 
 def joint_distribution(
@@ -73,54 +92,98 @@ def joint_distribution(
 ) -> JointTable:
     """Joint table P(system outcome, marker outcome) for one ordering.
 
-    marker_first projects each basis element (core.project_marker) and
-    then measures the residual over the system. system_first conditions
-    the marker on every system outcome at once (core.condition_on_system)
-    and reads each conditional in the basis: cell (s, m) is
-    weight_s * |<m|conditional_s>|^2, and outcomes of zero probability
-    leave all-zero rows. The two orderings are separate arithmetic that
-    fill the same table and agree entrywise (see
-    ordering_invariance_residual).
-
-    system_labels, when given, names the rows (e.g. 1-based detector
-    numbers) and goes to JointTable as given; the default is the 0-based
-    outcome index. marker_basis is a pair of orthogonal MarkerStates, such
-    as erasure_basis(theta) or which_path_basis().
+    The one-basis case of joint_distributions, which says how each ordering
+    fills it. system_labels, when given, names the rows (e.g. 1-based
+    detector numbers) and goes to JointTable as given; the default is the
+    0-based outcome index. marker_basis is a pair of orthogonal
+    MarkerStates, such as erasure_basis(theta) or which_path_basis().
 
     Without system_labels, while a caller holds a table, a call with the
     same state and order and a basis of equal vectors and labels returns
     that same immutable table instead of computing it again.
     """
-    if order not in ORDERS:
-        raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
-    first, second = marker_basis
-    if abs(first.overlap(second)) > core.ATOL:
-        raise ValidationError("marker basis states must be orthogonal")
     if system_labels is None:
+        first, second = marker_basis
         # Keyed on the order as well: the two orderings stay two computations.
         key = (order, first.vector.tobytes(), second.vector.tobytes(), first.label, second.label)
-        return core._memo(
-            state, key, lambda: _joint_table(state, first, second, order, range(state.system_dim))
-        )
-    return _joint_table(state, first, second, order, system_labels)
+        return core._memo(state, key, lambda: joint_distributions(state, [marker_basis], order)[0])
+    return _joint_tables(state, [marker_basis], order, system_labels)[0]
 
 
-def _joint_table(state, first, second, order, system_labels) -> JointTable:
+def joint_distributions(state: core.PureState, bases, order: str) -> list[JointTable]:
+    """joint_distribution(state, basis, order) for each basis in `bases`, in one pass.
+
+    Table k equals joint_distribution(state, bases[k], order) bit for bit.
+    marker_first projects the marker onto all 2K basis elements with one
+    ufunc kernel (core._project_markers) and measures each residual over
+    the system: cell (s, m) is branch_m * |residual_m(s)|^2, and an
+    element the state never projects onto leaves an all-zero column.
+    system_first conditions the marker on every system outcome once
+    (core.condition_on_system) and reads each conditional in each basis:
+    cell (s, m) is weight_s * |<m|conditional_s>|^2, and outcomes of zero
+    probability leave all-zero rows. The two orderings are separate
+    arithmetic that fill the same table and agree entrywise (see
+    ordering_invariance_residual).
+
+    Every basis is checked before any table is built: a pair that is not
+    orthogonal raises ValidationError, a marker-free state NoMarkerError.
+    An empty `bases` gives an empty list, after the same checks. The
+    tables' rows are the 0-based outcome indices. These calls neither read
+    nor fill joint_distribution's memo.
+    """
+    return _joint_tables(state, bases, order, range(state.system_dim))
+
+
+def _joint_tables(state, bases, order, system_labels) -> list[JointTable]:
+    if order not in ORDERS:
+        raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
+    pairs = [(first, second) for first, second in bases]
+    if any(abs(first.overlap(second)) > core.ATOL for first, second in pairs):
+        raise ValidationError("marker basis states must be orthogonal")
+    if state.marker_dim != 2:
+        raise NoMarkerError("state has no marker to measure")
+    # _marker_first and _system_first check their stack while their
+    # temporaries are still held: the checked copy, which the tables keep,
+    # is then allocated above them, so glibc reuses their freed space for
+    # the next table instead of trimming it and faulting it in again
+    # (BENCH_28.json, verify_wide_minor_faults).
     if order == MARKER_FIRST:
-        table = np.zeros((state.system_dim, 2))
-        for col, element in enumerate((first, second)):
-            try:
-                residual, branch = core.project_marker(state, element.vector)
-            except ZeroProbabilityError:
-                continue
-            table[:, col] = branch * residual.system_probabilities()
+        stack = _marker_first(state, pairs)
     else:
-        weights, conditionals = core.condition_on_system(state)
+        stack = _system_first(state, pairs)
+    return [
+        _checked_table(system_labels, (first.label, second.label), probabilities)
+        for probabilities, (first, second) in zip(stack, pairs)
+    ]
+
+
+def _marker_first(state, pairs) -> np.ndarray:
+    """The checked (K, S, 2) stack of marker_first tables (see joint_distributions)."""
+    vectors = np.array([[m.c1, m.c2] for pair in pairs for m in pair], np.complex128)
+    stack = np.zeros((len(pairs), state.system_dim, 2))
+    columns = (table[:, col] for table in stack for col in range(2))
+    projections = core._project_markers(state, vectors.reshape(-1, 2))
+    for column, (residual, probability) in zip(columns, projections):
+        if probability >= core.ZERO_PROBABILITY:
+            branch = core._checked_probability(probability, "marker projection probability")
+            np.multiply(np.abs(residual) ** 2, branch, out=column)
+    return core._checked_stack(stack, "joint table entries")
+
+
+def _system_first(state, pairs) -> np.ndarray:
+    """The checked (K, S, 2) stack of system_first tables (see joint_distributions)."""
+    weights, conditionals = core.condition_on_system(state)
+    stack = np.empty((len(pairs), state.system_dim, 2))
+    for table, (first, second) in zip(stack, pairs):
         overlaps = conditionals @ np.stack([first.vector, second.vector]).conj().T
-        table = np.empty((state.system_dim, 2))
         for col in range(2):  # column by column: no broadcast over the 2-wide axis
             np.multiply(weights, np.abs(overlaps[:, col]) ** 2, out=table[:, col])
-    return JointTable(system_labels, (first.label, second.label), table)
+    return core._checked_stack(stack, "joint table entries")
+
+
+def _table_gap(first: JointTable, second: JointTable) -> float:
+    """Largest entrywise gap between two tables of one shape."""
+    return float(np.max(np.abs(first.probabilities - second.probabilities)))
 
 
 def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
@@ -128,9 +191,10 @@ def ordering_invariance_residual(state: core.PureState, marker_basis) -> float:
 
     Tables the caller still holds for this state and basis are reused.
     """
-    first = joint_distribution(state, marker_basis, MARKER_FIRST)
-    second = joint_distribution(state, marker_basis, SYSTEM_FIRST)
-    return float(np.max(np.abs(first.probabilities - second.probabilities)))
+    return _table_gap(
+        joint_distribution(state, marker_basis, MARKER_FIRST),
+        joint_distribution(state, marker_basis, SYSTEM_FIRST),
+    )
 
 
 def mutual_information(table: JointTable) -> float:

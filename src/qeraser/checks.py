@@ -3,6 +3,13 @@
 Each check recomputes one headline identity of the simulator from scratch
 and reports its worst residual. The suite is a smoke test for installed
 copies; the full test suite lives in tests/.
+
+Two sweeps are batched through analysis.joint_distributions: the
+complementarity check reads its 32 erasure angles, both signs, from one
+marker_first call over the screen, and the ordering check makes one call
+per ordering over the nine bases of each channel state. The screen and
+spin-pair residuals of the ordering check, and every other check, take
+one basis or outcome at a time.
 """
 
 from __future__ import annotations
@@ -85,28 +92,25 @@ def _screen_definiteness(inputs: _Inputs) -> float:
 
 
 def _complementarity(inputs: _Inputs) -> float:
-    grid = inputs.grid
-    washed = twoslit.pattern_marked_unconditioned(grid).probabilities
+    washed = twoslit.pattern_marked_unconditioned(inputs.grid).probabilities
+    bases = [erasure_basis(float(t)) for t in np.linspace(0.0, math.pi, 32, endpoint=False)]
     worst = 0.0
-    for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
-        plus, p_plus = twoslit.pattern_conditioned(grid, float(theta), "plus")
-        minus, p_minus = twoslit.pattern_conditioned(grid, float(theta), "minus")
-        mixed = p_plus * plus.probabilities + p_minus * minus.probabilities
+    for table in analysis.joint_distributions(inputs.screen, bases, analysis.MARKER_FIRST):
+        # Column m is branch_m * pattern_m, so this is the bits of
+        # p_plus * plus + p_minus * minus from pattern_conditioned.
+        mixed = table.probabilities[:, 0] + table.probabilities[:, 1]
         worst = max(worst, float(np.max(np.abs(mixed - washed))))
     return worst
 
 
 def _ordering_invariance(inputs: _Inputs) -> float:
+    bases = [erasure_basis(float(t)) for t in np.linspace(0.0, math.pi, 8, endpoint=False)]
+    bases.append(which_path_basis())
     worst = 0.0
     for state in inputs.marked.values():
-        for theta in np.linspace(0.0, math.pi, 8, endpoint=False):
-            worst = max(
-                worst,
-                analysis.ordering_invariance_residual(state, erasure_basis(float(theta))),
-            )
-        worst = max(
-            worst, analysis.ordering_invariance_residual(state, which_path_basis())
-        )
+        first = analysis.joint_distributions(state, bases, analysis.MARKER_FIRST)
+        second = analysis.joint_distributions(state, bases, analysis.SYSTEM_FIRST)
+        worst = max(worst, *map(analysis._table_gap, first, second))
     worst = max(worst, analysis.ordering_invariance_residual(inputs.screen, erasure_basis(0.7)))
     worst = max(worst, analysis.ordering_invariance_residual(analysis.epr_state(), which_path_basis()))
     return worst

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +51,11 @@ MAX_SIZE = 10**7
 
 #: Floats squared at a time by the exact squared norm.
 _NORM_BLOCK = 1 << 16
+#: Rows of the marker contraction's second product made at a time. A 64 KiB
+#: temporary is reused from the heap, where a full-length one is mapped and
+#: faulted in afresh: at 2^18 rows project_marker took 4.4 ms that way
+#: against 3.2 ms in blocks (BENCH_28.json, project_marker_us).
+_CONTRACTION_BLOCK = 1 << 12
 
 
 def _integer(value, name: str, low, high, error: type[Exception]) -> int:
@@ -118,14 +124,23 @@ def checked_probabilities(values, what: str) -> np.ndarray:
     entry outside [0, 1] by more than ATOL, or a total off 1 by more than
     SUM_ATOL. `what` names the array in the messages.
     """
-    p = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
+    return _checked_stack(np.asarray(values, dtype=np.float64)[None], what)[0]
+
+
+def _checked_stack(stack: np.ndarray, what: str) -> np.ndarray:
+    """checked_probabilities of each stack[k], in one pass over a float64
+    stack of probability arrays of one shape: one read-only clipped copy.
+    A stack of no arrays is returned as it is."""
+    if not len(stack):
+        return stack
+    if not np.all(np.isfinite(stack)):
         raise InvariantError(f"{what} contain non-finite entries")
-    _checked_probability(float(np.min(p)), what)
-    _checked_probability(float(np.max(p)), what)
-    if abs(float(np.sum(p)) - 1.0) > SUM_ATOL:
+    _checked_probability(float(np.min(stack)), what)
+    _checked_probability(float(np.max(stack)), what)
+    totals = stack.reshape(len(stack), -1).sum(axis=1).tolist()
+    if any(abs(total - 1.0) > SUM_ATOL for total in totals):
         raise InvariantError(f"{what} do not sum to 1")
-    p = np.clip(p, 0.0, 1.0)
+    p = np.clip(stack, 0.0, 1.0)
     p.setflags(write=False)
     return p
 
@@ -267,20 +282,41 @@ def project_marker(state: PureState, marker_state) -> tuple[PureState, float]:
 
     Returns (residual system state, probability): the partial inner
     product <m|psi> divided by its norm, and its exact squared norm, summed
-    over the whole residual rather than row by row as system-first is. Raises
-    NoMarkerError for marker-free states and ZeroProbabilityError below
-    ZERO_PROBABILITY.
+    over the whole residual rather than row by row as system-first is. The
+    one-vector case of _project_markers. Raises NoMarkerError for
+    marker-free states and ZeroProbabilityError below ZERO_PROBABILITY.
     """
     if state.marker_dim != 2:
         raise NoMarkerError("state has no marker to project")
     mv = _unit_vector(marker_state, 2, "marker state")
-    partial = state.amplitudes.reshape(state.system_dim, 2) @ mv.conj()
-    probability = _squared_norm(partial)
+    residual, probability = next(_project_markers(state, mv[None]))
     if probability < ZERO_PROBABILITY:
         raise ZeroProbabilityError(f"marker projection has probability {probability!r}")
-    partial /= math.sqrt(probability)
     probability = _checked_probability(probability, "marker projection probability")
-    return _normalized_state(state.system_dim, 1, _exactly_normalized(partial)), probability
+    return _normalized_state(state.system_dim, 1, _exactly_normalized(residual)), probability
+
+
+def _project_markers(state: PureState, vectors: np.ndarray) -> Iterator[tuple[np.ndarray, float]]:
+    """Project the marker of `state` (marker_dim 2) onto each row of
+    `vectors`, a (K, 2) complex array.
+
+    Yields (residual, probability) per row: <m|psi> divided by its norm,
+    and its exact squared norm (_squared_norm). A residual below
+    ZERO_PROBABILITY is left undivided. Each residual is the numpy ufunc
+    contraction t[:, 0] * conj(m1) + t[:, 1] * conj(m2), with no BLAS call,
+    so a row has the bits of the one-vector call. The second product is
+    added _CONTRACTION_BLOCK rows at a time.
+    """
+    table = state.amplitudes.reshape(state.system_dim, 2)
+    for m1, m2 in vectors.conj().tolist():
+        residual = table[:, 0] * m1
+        for start in range(0, state.system_dim, _CONTRACTION_BLOCK):
+            rows = slice(start, start + _CONTRACTION_BLOCK)
+            residual[rows] += table[rows, 1] * m2
+        probability = _squared_norm(residual)
+        if probability >= ZERO_PROBABILITY:
+            residual /= math.sqrt(probability)
+        yield residual, probability
 
 
 def _row_probability(re1, im1, re2, im2):

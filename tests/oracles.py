@@ -6,7 +6,10 @@ test, so agreement is evidence rather than tautology. The reference
 emitters at the end format one row or point per call, with str.format,
 f-strings and json.dumps, where the package formats whole chunks with `%`.
 `inner_product`, `tensor`, `splitmix64` and `csv_row` are the scalar forms
-of operations the package has no public function for.
+of operations the package has no public function for. `blas_marker_partial`
+is the one exception to the scalar rule: it keeps the BLAS form in which
+the package used to contract the marker, to pin the bits of the ufunc
+contraction that replaced it.
 """
 
 import bisect
@@ -136,6 +139,18 @@ def marked_screen_amplitudes(envelope, theta_x, dx):
     table[:, 0] = scale * np.exp(1j * theta_x)
     table[:, 1] = scale * np.exp(-1j * theta_x)
     return table
+
+
+def blas_marker_partial(table, marker):
+    """<m|psi> per system row of an (S, 2) amplitude table, as BLAS zgemv
+    computes table @ conj(m): the form core.project_marker took before its
+    ufunc contraction.
+
+    For a one-row table numpy's `@` does not call zgemv but takes a dot
+    product, whose bits differ; a zero row appended keeps every S on zgemv.
+    """
+    padded = np.concatenate([np.asarray(table, dtype=np.complex128), np.zeros((1, 2))])
+    return (padded @ np.conj(np.asarray(marker, dtype=np.complex128)))[:-1]
 
 
 def chi_square_pass(probabilities, observed_counts, quantile=0.999, pool_below=5.0):

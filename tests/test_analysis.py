@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from lowered_simd import lowered_targets, run_with_simd_lowered
 from oracles import chi_square_pass, conditioned_screen_joint, csv_row, tensor
 from qeraser import analysis, core
 from qeraser.analysis import (
@@ -26,13 +27,14 @@ from qeraser.analysis import (
 from qeraser.errors import (
     DimensionMismatchError,
     InvalidCountError,
+    InvariantError,
     NoMarkerError,
     ValidationError,
 )
 from qeraser.marker import erasure_basis, which_path_basis
-from qeraser.nchannel import default_config, final_state_marked
+from qeraser.nchannel import default_config, final_state_marked, random_config
 from qeraser.rng import SplitMix64
-from qeraser.twoslit import default_grid, marked_state
+from qeraser.twoslit import ScreenGeometry, build_grid, default_grid, marked_state
 
 ENTANGLED = core.make_state((2, 2), [1, 0, 0, 1])
 
@@ -104,6 +106,207 @@ class TestJointDistribution:
             joint_distribution(core.make_state((2, 1), [1, 1]), which_path_basis(), MARKER_FIRST)
         with pytest.raises(ValueError):
             joint_distribution(ENTANGLED, which_path_basis(), "whenever")
+
+
+def sweep_angles(count):
+    """The erasure angles of basis_sweep(count)."""
+    return np.linspace(-math.pi, math.pi, count, endpoint=False)
+
+
+def basis_sweep(count):
+    """`count` marker bases: erasure pairs at sweep_angles(count), of which
+    the last is which-path once count > 1."""
+    bases = [erasure_basis(float(theta)) for theta in sweep_angles(count)]
+    if count > 1:
+        bases[-1] = which_path_basis()
+    return bases
+
+
+CHANNEL_CONFIG = random_config(37, seed=11)
+#: A random_config channel, a custom gaussian screen and the spin pair.
+BATCH_STATES = {
+    "channel": final_state_marked(CHANNEL_CONFIG),
+    "screen": marked_state(
+        build_grid(ScreenGeometry(2.0, 1.0, 1000.0, -1500.0, 1500.0, 4096), "gaussian", 700.0)
+    ),
+    "epr": epr_state(),
+}
+
+
+class TestJointDistributions:
+    @pytest.mark.parametrize("count", [1, 2, 9, 33])
+    @pytest.mark.parametrize("name", sorted(BATCH_STATES))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_each_table_equals_joint_distribution(self, order, name, count):
+        state = BATCH_STATES[name]
+        bases = basis_sweep(count)
+        tables = analysis.joint_distributions(state, bases, order)
+        assert len(tables) == count
+        for basis, table in zip(bases, tables):
+            single = joint_distribution(state, basis, order)
+            assert np.array_equal(table.probabilities, single.probabilities)
+            assert (table.row_labels, table.col_labels) == (single.row_labels, single.col_labels)
+            assert table.row_labels == range(state.system_dim)
+            assert not table.probabilities.flags.writeable
+        if name == "channel":
+            erasures = count - 1 if count > 1 else count
+            for theta, table in zip(sweep_angles(count)[:erasures], tables):
+                oracle = oracles.joint_channel_probs(
+                    CHANNEL_CONFIG.thetas, CHANNEL_CONFIG.phis, float(theta)
+                )
+                assert np.max(np.abs(table.probabilities - np.array(oracle))) < 1e-12
+
+    def test_system_first_conditions_once_per_call(self):
+        state = BATCH_STATES["screen"]
+        wrapper = mock.patch.object(core, "condition_on_system", wraps=core.condition_on_system)
+        with wrapper as calls:
+            for count in (0, 1, 9, 33):
+                analysis.joint_distributions(state, basis_sweep(count), SYSTEM_FIRST)
+            assert calls.call_count == 4
+            # Separate one-basis calls condition once each.
+            held = [joint_distribution(state, basis, SYSTEM_FIRST) for basis in basis_sweep(3)]
+            assert calls.call_count == 7
+        assert len(held) == 3
+
+    @pytest.mark.parametrize("d2", [0.0, 1e-9])
+    def test_unreached_element_leaves_zero_column(self, d2):
+        """No amplitude on d2, or one whose projection falls below
+        ZERO_PROBABILITY (1e-18 here): as joint_distribution skips that
+        projection, its column is all zero."""
+        state = core.make_state((3, 2), np.outer([1, 2, 3], [1, d2]).reshape(-1))
+        bases = [erasure_basis(0.3), which_path_basis(), erasure_basis(1.0)]
+        for order in ORDERS:
+            tables = analysis.joint_distributions(state, bases, order)
+            if order == MARKER_FIRST or d2 == 0.0:  # system_first keeps a 1e-18 weight
+                assert np.all(tables[1].probabilities[:, 1] == 0.0)
+            expected = [1 / 14, 4 / 14, 9 / 14]
+            assert tables[1].probabilities[:, 0] == pytest.approx(expected, abs=1e-12)
+            for basis, table in zip(bases, tables):
+                single = joint_distribution(state, basis, order)
+                assert np.array_equal(table.probabilities, single.probabilities)
+
+    def test_stack_checks_each_table(self):
+        """core._checked_stack checks every table's total, not the stack's."""
+        halves = np.array([[[0.75, 0.75]], [[0.25, 0.25]]])
+        with pytest.raises(InvariantError):
+            core._checked_stack(halves, "joint table entries")
+        stack = np.array([[[0.5, 0.5]], [[1.0 + 1e-13, -1e-13]]])
+        checked = core._checked_stack(stack, "joint table entries")
+        assert checked.tolist() == [[[0.5, 0.5]], [[1.0, 0.0]]]
+        assert not checked.flags.writeable
+        assert stack[1, 0, 0] == 1.0 + 1e-13  # the input is not changed
+
+    @pytest.mark.parametrize("position", [0, 4, 9])
+    def test_non_orthogonal_pair_raises_before_any_table(self, position):
+        plus = erasure_basis(0.2).plus
+        bases = basis_sweep(9)
+        bases.insert(position, (plus, plus))
+        with (
+            mock.patch.object(core, "_project_markers", wraps=core._project_markers) as project,
+            mock.patch.object(
+                core, "condition_on_system", wraps=core.condition_on_system
+            ) as condition,
+        ):
+            for order in ORDERS:
+                with pytest.raises(ValidationError):
+                    analysis.joint_distributions(BATCH_STATES["channel"], bases, order)
+        assert project.call_count == condition.call_count == 0
+
+    def test_marker_free_state_raises(self):
+        bare = core.make_state((2, 1), [1, 1])
+        for order in ORDERS:
+            for count in (0, 2):
+                with pytest.raises(NoMarkerError):
+                    analysis.joint_distributions(bare, basis_sweep(count), order)
+
+    def test_empty_bases_give_no_tables(self):
+        """An empty sweep is no error: no tables, after the order and state checks."""
+        for order in ORDERS:
+            assert analysis.joint_distributions(ENTANGLED, [], order) == []
+        with pytest.raises(ValidationError):
+            analysis.joint_distributions(ENTANGLED, [], "whenever")
+
+
+#: Row counts of the contraction tests: one row, where numpy's `@` takes a
+#: dot product and not zgemv, a few rows, and one past 2^12 and 2^15 (a
+#: squared norm over two blocks of core._NORM_BLOCK).
+CONTRACTION_ROWS = [1, 2, 3, 4097, 2**15 + 1]
+
+
+def random_marked_state(rows, seed):
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal(2 * rows) + 1j * rng.standard_normal(2 * rows)
+    return core.make_state((rows, 2), amplitudes)
+
+
+def marker_vectors(count, seed):
+    """`count` random unit marker vectors as a (count, 2) array, then both
+    elements of an erasure pair."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return np.concatenate([vectors, [m.vector for m in erasure_basis(0.3)]])
+
+
+class TestContraction:
+    @pytest.mark.parametrize("rows", CONTRACTION_ROWS)
+    def test_project_marker_has_the_bits_of_blas(self, rows):
+        """project_marker's residual is the BLAS form's partial
+        (oracles.blas_marker_partial) divided by its exact norm, bit for bit.
+
+        That the ufunc contraction rounds as BLAS zgemv does is a property
+        of the host: of numpy's SIMD dispatch and of OpenBLAS's kernel. So
+        this test holds at the host's own dispatch level only, and no test
+        re-runs it with the dispatch lowered.
+        """
+        state = random_marked_state(rows, rows)
+        table = state.amplitudes.reshape(rows, 2)
+        for vector in marker_vectors(8, rows):
+            residual, probability = core.project_marker(state, vector)
+            partial = oracles.blas_marker_partial(table, vector)
+            expected = core._squared_norm(partial)
+            assert probability == expected
+            partial /= math.sqrt(expected)
+            assert residual.amplitudes.tobytes() == partial.tobytes()
+
+
+class TestBatchInvariance:
+    """Row k of a K-vector contraction, and table k of joint_distributions,
+    equal the one-vector and one-basis calls bit for bit.
+
+    The rows take the loops of the one-vector call, so this holds at every
+    SIMD dispatch level; TestLoweredSimd re-runs this class with numpy's
+    dispatch lowered.
+    """
+
+    @pytest.mark.parametrize("rows", CONTRACTION_ROWS)
+    def test_rows_equal_one_vector_calls(self, rows):
+        state = random_marked_state(rows, rows)
+        vectors = marker_vectors(31, rows)
+        projections = list(core._project_markers(state, vectors))
+        assert len(projections) == 33
+        for (row, probability), vector in zip(projections, vectors):
+            residual, branch = core.project_marker(state, vector)
+            assert row.tobytes() == residual.amplitudes.tobytes()
+            assert probability == branch
+
+    @pytest.mark.parametrize("rows", CONTRACTION_ROWS)
+    def test_tables_equal_one_basis_calls(self, rows):
+        state = random_marked_state(rows, rows)
+        bases = basis_sweep(33)
+        for order in ORDERS:
+            for basis, table in zip(bases, analysis.joint_distributions(state, bases, order)):
+                single = joint_distribution(state, basis, order)
+                assert table.probabilities.tobytes() == single.probabilities.tobytes()
+
+
+class TestLoweredSimd:
+    """TestBatchInvariance passes with numpy's SIMD dispatch lowered
+    (tests/lowered_simd.py). A host with nothing to lower skips."""
+
+    @pytest.mark.skipif(not lowered_targets(), reason="numpy runs at its baseline on this host")
+    def test_batch_invariance_with_simd_lowered(self):
+        run_with_simd_lowered(__file__, "TestBatchInvariance")
 
 
 class TestOrderingInvariance:

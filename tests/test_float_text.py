@@ -11,10 +11,8 @@ decade edges, near-ties at 6 digits and dyadic pixels.
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from lowered_simd import lowered_targets, run_with_simd_lowered, src_env
 from qeraser import _float_text, _svg, analysis, cli, twoslit
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -269,54 +268,10 @@ class TestEmitters:
         assert f'<polyline points="{points}" ' in "".join(cli.emit_pattern_svg(payload, "{}"))
 
 
-def src_env(**extra) -> dict:
-    """The environment for a subprocess that imports this qeraser."""
-    src = str(Path(_float_text.__file__).resolve().parents[1])
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def lowered_targets() -> dict:
-    """Each dispatch level below the host's -> the host's numpy SIMD targets above it."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x, which has no numpy._core: skip
-        return {}
-    dispatch = list(__cpu_dispatch__)  # lowest first
-    if "X86_V3" not in dispatch:  # not an x86-64 build
-        return {}
-    levels = {"X86_V3": dispatch[dispatch.index("X86_V3") + 1 :], "X86_V2": dispatch}
-    lowered = {}
-    for level, above in levels.items():
-        targets = [target for target in above if __cpu_features__.get(target)]
-        if targets:
-            lowered[level] = targets
-    return lowered
-
-
 class TestLoweredSimd:
-    """The kernel prints the same text with numpy's SIMD dispatch lowered.
-
-    numpy picks its loops by CPU (AVX-512, AVX2, ...); NPY_DISABLE_CPU_FEATURES
-    lowers the dispatch of one process, down to X86_V3 and to the X86_V2
-    baseline where the host has more. A host with nothing to lower skips.
-    """
+    """The kernel prints the same text with numpy's SIMD dispatch lowered
+    (tests/lowered_simd.py). A host with nothing to lower skips."""
 
     @pytest.mark.skipif(not lowered_targets(), reason="numpy runs at its baseline on this host")
     def test_differential_tests_pass_with_simd_lowered(self):
-        for level, targets in lowered_targets().items():
-            env = src_env(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
-            check = (
-                "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-                f"assert not any(f.get(t) for t in {targets!r}), f\n"
-            )
-            proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, (level, proc.stderr)
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-                 "-k", "TestDifferential or fallback_share or TestEmitters"],
-                env=env, capture_output=True, text=True, timeout=600,
-                cwd=Path(__file__).resolve().parents[1],
-            )
-            assert proc.returncode == 0, (level, proc.stdout[-3000:], proc.stderr[-3000:])
+        run_with_simd_lowered(__file__, "TestDifferential or fallback_share or TestEmitters")
