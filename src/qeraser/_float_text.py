@@ -1,10 +1,15 @@
-"""Exact `"%.17g" % v`, `repr(v)` and `"%.6g" % v` of float64 columns, laid out as bytes.
+"""Exact `"%.17g" % v`, `repr(v)` and `"%.6g" % v` of float64 columns, and
+`"%d" % v` of integer columns, laid out as bytes.
 
 text_block(values, fmt) returns one NUL-padded row of bytes per value,
 holding exactly the text of Python's correctly rounded conversion
 (Steele & White, PLDI 1990; Gay 1990; Adams, Ryu, PLDI 2018), with no
-Python call per value. The float columns of pattern CSV (`%.17g`) and
-JSON (`%r`) and the points of an SVG polyline (`%.6g`) use it.
+Python call per value. The columns of pattern CSV (`%.17g`, or `%d` for
+an integer index) and JSON (`%r`, or `%d`) and the points of an SVG
+polyline (`%.6g`) use it. text_rows joins such columns and constant text
+into rows: one template per artifact, whose constant columns are written
+once and whose array columns each chunk overwrites in place, then drops
+the NULs.
 
 `%.17g` and repr:
 - scale: |v| * 10^k in double-double arithmetic, a Dekker/Veltkamp
@@ -25,7 +30,10 @@ JSON (`%r`) and the points of an SVG polyline (`%.6g`) use it.
 - lay out: the cells are sorted by notation class (fixed notation for
   each exponent, or scientific); within a class every field has one
   column, so the digits, point, leading "0.000" and exponent are copied
-  as column slices. NULs pad what a class does not use.
+  as column slices. NULs pad what a class does not use. A piece of one
+  class is written straight into its rows of the caller's block; a
+  mixed piece goes through a class-sorted scratch block and back by one
+  take.
 
 `%.6g` covers [10, 1000), where it is fixed notation with 2 or 3 integer
 digits: the range of SVG pixel coordinates. v * 10^4 (below 100) or
@@ -34,6 +42,11 @@ entries OR-ed together: the integer part and the fraction with its
 trailing zeros (and a bare point) dropped. A cell within _TOL of a tie,
 one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and any v
 outside [10, 1000) fall back to `%`.
+
+`%d` covers [0, 10^16): the value's groups of four digits are entries of
+the same digit-group table the float digits use (Knuth, TAOCP Vol. 2,
+4.4), right-aligned in the column with the leading zeros NUL. Negative
+values and any from 10^16 up fall back to `%`.
 """
 
 from __future__ import annotations
@@ -68,13 +81,15 @@ _EXPONENT_OFFSET = 300
 #: 106 MiB (BENCH_25.json, "piece_size").
 _PIECE = 1 << 12
 _ZERO, _POINT = ord("0"), ord(".")
+#: 10^1 .. 10^15, against which an integer's digits are counted.
+_POWERS = 10 ** np.arange(1, 16, dtype=np.int64)
 
 
 class _Tables(NamedTuple):
-    hi: np.ndarray  # 10^k rounded to a double, k = _KMIN.._KMAX
-    high: np.ndarray  # hi's upper 26 bits
-    low: np.ndarray  # hi - high
-    lo: np.ndarray  # 10^k - hi rounded to a double
+    # (4, _KMAX - _KMIN + 1), column k - _KMIN: 10^k rounded to a double
+    # (hi), hi's upper 26 bits, hi less those, and 10^k - hi rounded to a
+    # double (lo); one take gathers all four.
+    scales: np.ndarray
     groups: np.ndarray  # uint32: 0000..9999 in ASCII, then the same with trailing zeros NUL
     suffixes: np.ndarray  # V5: "e+XX" of exponent - _EXPONENT_OFFSET, NUL-padded
 
@@ -109,20 +124,18 @@ def _tables() -> _Tables:
     exponents = range(-_EXPONENT_OFFSET, _EXPONENT_OFFSET + 1)
     suffixes = np.array(["e%+03d" % e for e in exponents], "S5").view("V5")
     return _Tables(
-        hi,
-        np.ldexp(high, exponent - 53),
-        np.ldexp(whole - high, exponent - 53),
-        np.array(los),
+        np.stack([hi, np.ldexp(high, exponent - 53), np.ldexp(whole - high, exponent - 53), los]),
         np.concatenate([digits, stripped]).view(np.uint32).ravel(),
         suffixes,
     )
 
 
-def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(x: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(y) as int64 and y - floor(y), y = x * 10^k in double-double
-    arithmetic: hi + lo with |lo| <= ulp(hi) / 2. Exact floors need
-    y >= 2^53, where hi is an integer; below, the floor may be one off."""
-    hi, high, low, lo = (np.take(table, k - _KMIN) for table in _tables()[:4])
+    arithmetic, index = k - _KMIN: hi + lo with |lo| <= ulp(hi) / 2. Exact
+    floors need y >= 2^53, where hi is an integer; below, the floor may be
+    one off."""
+    hi, high, low, lo = np.take(_tables().scales, index, axis=1)
     spread = x * _SPLIT
     x_high = spread - (spread - x)
     x_low = x - x_high
@@ -137,14 +150,19 @@ def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rounded(whole, frac, exact, unit: int):
     """The multiple of `unit` nearest to y = whole + frac, ties to even; its
-    distance from y; and where a tie cannot be told from the arithmetic.
+    distance from y (None for unit 1, whose callers never read it); and
+    where a tie cannot be told from the arithmetic.
     """
+    if unit == 1:
+        excess = 2 * frac - 1
+        up = (excess > 0) | (excess == 0) & (whole & 1 == 1)
+        return whole + up, None, ~exact & (np.abs(excess) < 2 * _TOL)
     quotient = whole // unit
     rest = whole - quotient * unit
     # Twice the distance below y less twice the distance above, its sign
     # exact: one rounding of an exact integer plus an exact double.
     excess = (2 * rest - unit) + 2 * frac
-    up = (excess > 0) | (excess == 0) & (quotient % 2 == 1)
+    up = (excess > 0) | (excess == 0) & (quotient & 1 == 1)
     # Only distances below 12 matter (half an ulp is below 11.2).
     gap = np.minimum(np.where(up, unit - rest, rest), 64) + np.where(up, -frac, frac)
     return (quotient + up) * unit, gap, ~exact & (np.abs(excess) < 2 * _TOL)
@@ -154,16 +172,17 @@ def _digits(x: np.ndarray, shortest: bool):
     """(digits, exponent, fall-back mask) of each x in [_LOWEST, _HIGHEST]:
     x's text is the integer `digits` in [10^16, 10^17) times 10^(exponent - 16)."""
     exponent = np.floor(np.log10(x)).astype(np.intp)  # may be one off next to 10^e
-    whole, frac = _scaled(x, 16 - exponent)
+    whole, frac = _scaled(x, 16 - _KMIN - exponent)
     for step in (1, -1):
         off = whole >= 10**17 if step == 1 else whole < 10**16
         if off.any():
             exponent[off] += step
-            whole[off], frac[off] = _scaled(x[off], 16 - exponent[off])
+            whole[off], frac[off] = _scaled(x[off], 16 - _KMIN - exponent[off])
     fall_back = (whole < 10**16) | (whole >= 10**17)
-    tables = _tables()
+    scales = _tables().scales
+    index = 16 - _KMIN - exponent
     # Where 10^k is a double (k = 0..22), hi + lo is y exactly and a tie is a tie.
-    exact = np.take(tables.lo, 16 - exponent - _KMIN) == 0
+    exact = np.take(scales[3], index) == 0
     digits, _, unsure = _rounded(whole, frac, exact, 1)
     fall_back |= unsure
     if not shortest:
@@ -171,7 +190,7 @@ def _digits(x: np.ndarray, shortest: bool):
 
     mantissa, power = np.frexp(x)
     fall_back |= mantissa == 0.5  # a power of two: the interval below it is half as wide
-    half_ulp = np.ldexp(np.take(tables.hi, 16 - exponent - _KMIN), power - 54)
+    half_ulp = np.ldexp(np.take(scales[0], index), power - 54)
     # Roundings to 10 and to 100 inside the interval replace the 17 digits,
     # the one to 100 where both are. That suffices: a rounding to 100
     # inside the interval is less than 11.2 from y, so it is the only
@@ -189,19 +208,26 @@ def _digits(x: np.ndarray, shortest: bool):
 def _carried(digits, exponent):
     """A rounding up to 10^17 is 10^16 at the next exponent."""
     carry = digits == 10**17
+    if not carry.any():
+        return digits, exponent
     return np.where(carry, 10**16, digits), exponent + carry
 
 
-def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool) -> np.ndarray:
-    """The text of number * 10^(exponent - 16), sign left out, one NUL-padded row each."""
+def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.ndarray) -> None:
+    """Writes the text of number * 10^(exponent - 16) into columns 1.. of
+    out, one NUL-padded row each; column 0 is left for the sign."""
     size = number.size
     fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
     kind = np.where(fixed, exponent + 4, _SCIENTIFIC).astype(np.uint8)
     counts = np.bincount(kind, minlength=_SCIENTIFIC + 1)
     mixed = counts.max() < size  # else the rows are in class order already
     if mixed:
+        # The classes go to a scratch block in class order, and back by one take.
         order = np.argsort(kind, kind="stable")
         number, exponent = np.take(number, order), np.take(exponent, order)
+        block = np.empty((size, WIDTH["%.17g"]), np.uint8)
+    else:
+        block = out
     # The first digit, then four groups of four digits, each group NUL
     # where its digits are trailing zeros of the whole number.
     first = number // 10**16
@@ -220,7 +246,8 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool) -> np.ndar
     digits[:, 0] = first + _ZERO
     digits[:, 1:] = np.take(tables.groups, groups + 10**4 * stripped).view(np.uint8).reshape(size, 16)
 
-    block = np.zeros((size, WIDTH["%.17g"]), np.uint8)
+    # Every column 1.. of a class's rows is written, NULs included: out may
+    # hold the text of an earlier chunk.
     stop = 0
     for cls, count in enumerate(counts.tolist()):
         rows = slice(stop, stop + count)
@@ -237,81 +264,131 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool) -> np.ndar
             lead = np.frombuffer(b"0." + b"0" * (3 - cls), np.uint8)
             block[rows, 1 : 1 + lead.size] = lead
             block[rows, 1 + lead.size : 18 + lead.size] = digits[rows]
+            block[rows, 18 + lead.size :] = 0
         else:  # the integer part keeps its zeros; a point only before a fraction (repr: ".0")
             point = cls - 3
             fraction = number[rows] % 10 ** (17 - point) != 0
             block[rows, 1 : 1 + point] = np.maximum(digits[rows, :point], _ZERO)
             block[rows, 1 + point] = _POINT if shortest else fraction * _POINT
             block[rows, 2 + point : 19] = digits[rows, point:]
-            if shortest:
-                block[rows, 19] = ~fraction * _ZERO
-    if not mixed:
-        return block
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(size)
-    return np.take(block, inverse, 0)
+            block[rows, 19] = ~fraction * _ZERO if shortest else 0
+            block[rows, 20:] = 0
+    if mixed:
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(size)
+        out[:] = np.take(block, inverse, 0, mode="clip")
 
 
 def text_rows(parts: tuple, fmt: str) -> Iterator[str]:
     """The rows "".join(parts), where a str part is written as it is and an
-    array part by `fmt % value` of its i-th value (see text_block), in
-    chunks of analysis._EVENT_CHUNK rows.
+    array part by `fmt % value` of its i-th value, or by `%d` for an
+    integer array (see text_block), in chunks of analysis._EVENT_CHUNK rows.
 
-    Each chunk is laid out as bytes, the str parts broadcast next to the
-    text blocks, and the NULs dropped: no str part may hold a NUL.
+    Every chunk is laid out in one template of min(size, _EVENT_CHUNK)
+    rows, one column per part, each as wide as the longest text of its
+    part. The str parts are written once; each chunk writes its array
+    parts' text into their columns of its rows in place and drops the NULs
+    that pad them. No str part may hold a NUL, and UTF-8 puts a 0x00 byte
+    in no other character's encoding, so deleting every NUL keeps any
+    other text whole. The NULs are dense here (a tenth to near half a row),
+    so bytes.translate deletes them faster than a mask over the block or
+    bytes.replace (BENCH_29.json, "compaction").
     """
     size = next(len(part) for part in parts if isinstance(part, np.ndarray))
-    constant = {
-        index: np.frombuffer(part.encode(), np.uint8)
-        for index, part in enumerate(parts)
-        if isinstance(part, str)
-    }
     chunk = analysis._EVENT_CHUNK
+    columns, constants, stop = [], [], 0
+    for part in parts:
+        if isinstance(part, str):
+            text = np.frombuffer(part.encode(), np.uint8)
+            constants.append((text, slice(stop, stop + text.size)))
+            stop += text.size
+        else:
+            part_fmt = "%d" if part.dtype.kind in "iu" else fmt
+            width = _width(part, part_fmt)
+            columns.append((part, part_fmt, slice(stop, stop + width)))
+            stop += width
+    template = np.empty((min(size, chunk), stop), np.uint8)
+    for text, field in constants:
+        template[:, field] = text
     for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        fields = [
-            np.broadcast_to(constant[index], (stop - start, constant[index].size))
-            if index in constant
-            else text_block(part[start:stop], fmt)
-            for index, part in enumerate(parts)
-        ]
-        block = np.hstack(fields)
-        yield str(memoryview(block[block != 0]), "utf-8")
+        block = template[: min(chunk, size - start)]
+        for part, part_fmt, field in columns:
+            text_block(part[start : start + chunk], part_fmt, block[:, field])
+        yield block.tobytes().translate(None, b"\0").decode()
 
 
-def text_block(values: np.ndarray, fmt: str) -> np.ndarray:
-    """(len(values), WIDTH[fmt]) uint8: row i holds `fmt % values[i]`, padded
-    with NULs; fmt is "%.17g", "%r" or "%.6g". For "%.17g" and "%r" the
-    values must be finite."""
-    values = np.asarray(values, np.float64)
-    width = WIDTH[fmt]
-    block = np.empty((values.size, width), np.uint8)
+def _width(values: np.ndarray, fmt: str) -> int:
+    """Bytes per row of `fmt % v` for v in values: WIDTH[fmt], or for "%d"
+    the longest text, that of the least or the greatest value."""
+    if fmt != "%d":
+        return WIDTH[fmt]
+    return max(len("%d" % values.min()), len("%d" % values.max())) if values.size else 1
+
+
+def text_block(values: np.ndarray, fmt: str, out: np.ndarray | None = None) -> np.ndarray:
+    """(len(values), width) uint8: row i holds `fmt % values[i]`, padded
+    with NULs; fmt is "%.17g", "%r" or "%.6g", whose width is WIDTH[fmt],
+    or "%d" for an integer array, as wide as its longest text. For "%.17g"
+    and "%r" the values must be finite. The rows go to `out` when given,
+    which may be a column slice of a wider block; it is returned."""
+    values = np.asarray(values) if fmt == "%d" else np.asarray(values, np.float64)
+    if out is None:
+        out = np.empty((values.size, _width(values, fmt)), np.uint8)
+    width = out.shape[1]
     for start in range(0, values.size, _PIECE):
-        piece, rows = values[start : start + _PIECE], block[start : start + _PIECE]
+        piece, rows = values[start : start + _PIECE], out[start : start + _PIECE]
         if fmt == "%.6g":
             fall_back = _fixed6(piece, rows)
+        elif fmt == "%d":
+            fall_back = _integers(piece, rows)
         else:
             shortest = fmt == "%r"
             number, exponent, fall_back = _decimal(piece, shortest)
-            rows[:] = _layout(number, exponent, shortest)
+            _layout(number, exponent, shortest, rows)
             rows[:, 0] = np.signbit(piece) * ord("-")
         if fall_back.any():
             texts = [fmt % value for value in piece[fall_back].tolist()]
             rows[fall_back] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
-    return block
+    return out
 
 
 def _decimal(values: np.ndarray, shortest: bool):
     """_digits of |values| for any finite values: 0 has the digits 0 and the
     exponent 0, and a nonzero |v| outside [_LOWEST, _HIGHEST] falls back."""
     x = np.abs(values)
-    zero = x == 0.0
     inside = (x >= _LOWEST) & (x <= _HIGHEST)
+    if inside.all():  # no zero either
+        return _digits(x, shortest)
+    zero = x == 0.0
     # Cells outside are worked on as 1.5, whose text needs no fall-back.
     number, exponent, fall_back = _digits(np.where(inside, x, 1.5), shortest)
     number[zero] = 0
     exponent[zero] = 0
     return number, exponent, fall_back & inside | ~(inside | zero)
+
+
+def _integers(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lays `"%d" % v` out into rows, right-aligned with leading zeros NUL,
+    for integers v in [0, 10^16), and returns the mask of the cells that
+    fall back: negative values and any from 10^16 up."""
+    inside = (values >= 0) & (values < 10**16)
+    if not inside.all():
+        values = np.where(inside, values, 0)
+    values = values.astype(np.int64, copy=False)
+    width = rows.shape[1]
+    shown = min(width, 16)  # digits laid out; a wider text falls back
+    count = -(-shown // 4)  # groups of four digits, the lowest last
+    groups = np.empty((values.size, count), np.int64)
+    rest = values
+    for col in range(count - 1, -1, -1):
+        rest, groups[:, col] = np.divmod(rest, 10**4)
+    digits = np.take(_tables().groups, groups).view(np.uint8).reshape(-1, 4 * count)
+    # v has 1 + (the number of 10^j, 0 < j < shown, not above v) digits.
+    length = np.searchsorted(_POWERS[: shown - 1], values, side="right") + 1
+    keep = np.arange(shown) >= shown - length[:, None]
+    rows[:, : width - shown] = 0
+    np.multiply(digits[:, 4 * count - shown :], keep, out=rows[:, width - shown :])
+    return ~inside
 
 
 @functools.cache

@@ -281,7 +281,8 @@ _SHORT_DIGITS = np.where(np.maximum(_INDEX, 1) < _POWER, 0, _LOW_DIGITS)
 def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
     """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk:
     the rows of SVG ticks and bar charts, joint tables, and pattern columns
-    too short or too mixed for _float_text (see cli.FLOAT_TEXT_MIN)."""
+    too short for _float_text (see cli.FLOAT_TEXT_MIN) or with a condition
+    tail that is not printable."""
     width = len(columns)
     for start in range(0, len(columns[0]), _EVENT_CHUNK):
         parts = [column[start : start + _EVENT_CHUNK].tolist() for column in columns]
@@ -425,9 +426,11 @@ def event_log_chunks(
     # `,order,seed\n`. The constant first and last columns are written once;
     # each chunk overwrites the others in its rows and drops the NULs. No
     # field holds a NUL of its own: scenario_id is printable, the labels and
-    # the seed are ints and the order is one of ORDERS. The NULs are sparse,
-    # so bytes.replace drops them faster than a mask over every byte
-    # (BENCH_27.json).
+    # the seed are ints and the order is one of ORDERS; and UTF-8 encodes no
+    # other character with a 0x00 byte. The NULs are sparse (under one a
+    # row), so bytes.replace drops them faster than a mask over every byte
+    # (BENCH_27.json) or bytes.translate, which pattern streams take for
+    # their dense NULs (BENCH_29.json, "compaction").
     heads = np.array([f",{label}," for label in labels], dtype="S")
     cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
     cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)

@@ -42,7 +42,7 @@ from .marker import erasure_basis, which_path_basis
 ENV_OUT_DIR = "QERASER_OUT_DIR"
 FLOAT_FMT = "%.17g"
 FORMATS = ("csv", "json", "svg")
-#: Float pattern columns at least this long are laid out by _float_text;
+#: Pattern columns at least this long are laid out by _float_text;
 #: below it one `%` per chunk is faster (BENCH_25.json, "break_even").
 FLOAT_TEXT_MIN = 1024
 
@@ -424,13 +424,13 @@ SCENARIOS = {
 #
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
-# built as main writes them, analysis._EVENT_CHUNK rows at a time. A chunk
-# of float pattern columns of FLOAT_TEXT_MIN rows or more, and every chunk
-# of SVG line-chart points, is laid out as bytes (_float_text.text_rows);
-# the other pattern chunks, SVG ticks and bar charts are formatted by one
-# `%` (analysis._rows). An event log's chunks are laid out as bytes in one
-# block reused for the whole log (analysis.event_log_chunks); joint tables
-# are one chunk.
+# built as main writes them, analysis._EVENT_CHUNK rows at a time. Pattern
+# columns of FLOAT_TEXT_MIN rows or more, float or integer, and the points
+# of every SVG line chart are laid out as bytes in one template reused for
+# the whole artifact (_float_text.text_rows); shorter patterns, SVG ticks
+# and bar charts are formatted by one `%` per chunk (analysis._rows). An
+# event log's chunks are laid out the same way (analysis.event_log_chunks);
+# joint tables are one chunk.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -465,7 +465,7 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
         tail = f",{condition}\n"
     # The laid-out rows join the columns' text and the tail as bytes and
     # drop the NULs that pad the text: a printable tail holds no NUL.
-    if xs.dtype.kind == "f" and xs.size >= FLOAT_TEXT_MIN and tail[:-1].isprintable():
+    if xs.size >= FLOAT_TEXT_MIN and tail[:-1].isprintable():
         rows = _float_text.text_rows((xs, ",", probs, tail), "%.17g")
     else:
         row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
@@ -475,7 +475,7 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
 
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
-    if column.dtype.kind == "f" and column.size >= FLOAT_TEXT_MIN:
+    if column.size >= FLOAT_TEXT_MIN:
         items = _float_text.text_rows((",\n    ", column), "%r")
     else:
         items = analysis._rows(",\n    %r", (column,))

@@ -37,6 +37,14 @@ def texts(values, fmt):
     return [bytes(row[row != 0]).decode() for row in block]
 
 
+def int_texts(values):
+    """`"%d" % v` of each value, read back from text_block's rows."""
+    values = np.asarray(values)
+    block = _float_text.text_block(values, "%d")
+    assert block.shape == (values.size, max(len("%d" % v) for v in values.tolist()))
+    return [bytes(row[row != 0]).decode() for row in block]
+
+
 def assert_same_text(values, formats=tuple(_float_text.WIDTH)):
     for fmt in formats:
         assert texts(values, fmt) == expected(values, fmt)
@@ -158,6 +166,35 @@ class TestDifferential:
         assert _float_text._fixed6(np.array(values), block).all()
         assert texts([-1.234567e-308], "%.6g") == ["-1.23457e-308"]  # the widest text
 
+    def test_integers_at_every_power_of_ten_and_the_int64_edges(self):
+        powers = [10**k + step for k in range(1, 17) for step in (-1, 0, 1)]
+        values = [0, 1, *powers, 10**16, 2**63 - 1, -(2**63), -1, -9, -10, -10**5, -(10**16)]
+        assert int_texts(values) == expected(values, "%d")
+        assert int_texts(values[::-1]) == expected(values[::-1], "%d")
+        # A column as wide as its widest value: k digits, then k + 1.
+        for k in range(1, 18):
+            column = [0, 1, 10 ** (k - 1), 10**k - 1, 7 * 10 ** (k - 1)]
+            assert int_texts(column) == expected(column, "%d")
+            assert int_texts(column + [10**k]) == expected(column + [10**k], "%d")
+
+    def test_integers_above_int64_fall_back(self):
+        values = np.array([0, 5, 10**16 - 1, 10**16, 2**63, 2**64 - 1], np.uint64)
+        assert int_texts(values) == expected(values, "%d")
+        block = np.empty((values.size, 20), np.uint8)
+        assert _float_text._integers(values, block).tolist() == [False] * 3 + [True] * 3
+
+    def test_integers_of_narrow_dtypes(self):
+        for dtype in (np.int8, np.uint8, np.int16, np.int32, np.uint32):
+            info = np.iinfo(dtype)
+            values = np.array([info.min, info.min + 1, 0, 1, 9, 10, info.max - 1, info.max], dtype)
+            assert int_texts(values) == expected(values, "%d")
+
+    def test_random_integers_of_every_width(self):
+        rng = np.random.default_rng(23)
+        values = rng.integers(0, 10 ** rng.integers(1, 19, 3 * _float_text._PIECE + 17))
+        values[::97] *= -1
+        assert int_texts(values) == expected(values, "%d")
+
 
 def screen_columns(bins=2**18):
     """Positions and probabilities of a gaussian two-slit screen."""
@@ -187,6 +224,28 @@ def test_fallback_share_on_a_wide_polyline(monkeypatch):
     "".join(_svg.line_chart(xs, ps, "t", "x", "probability", "{}"))
     assert sum(mask.size for mask in masks) == 2 * (2**16 - 1)
     assert sum(mask.sum() for mask in masks) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fallback_share_on_a_wide_index_column(fmt, monkeypatch, tmp_path):
+    """None of the detector indices of `nchannel --n 10^4` is printed by `%`."""
+    masks, integers = [], _float_text._integers
+
+    def counted(values, rows):
+        masks.append(integers(values, rows))
+        return masks[-1]
+
+    monkeypatch.setattr(_float_text, "_integers", counted)
+    path = tmp_path / f"pattern.{fmt}"
+    assert cli.main(["nchannel", "--n", "10000", "--format", fmt, "--output", str(path)]) == 0
+    assert sum(mask.size for mask in masks) == 10**4
+    assert sum(mask.sum() for mask in masks) == 0
+    text = path.read_text()
+    if fmt == "csv":
+        index = [int(line.split(",")[0]) for line in text.splitlines()[2:]]
+    else:
+        index = json.loads(text)["index_or_x"]
+    assert index == list(range(1, 10**4 + 1))  # detectors 1..n
 
 
 def test_table_is_built_on_first_use_not_at_import():
@@ -266,6 +325,43 @@ class TestEmitters:
         assert "".join(cli.emit_pattern_json(payload, "{}")) == oracles.pattern_json(payload, "{}")
         points = oracles.line_chart_points(payload["x"], payload["p"])
         assert f'<polyline points="{points}" ' in "".join(cli.emit_pattern_svg(payload, "{}"))
+
+    @pytest.mark.parametrize("chunk", [1, 7, analysis._EVENT_CHUNK])
+    def test_template_rows_equal_the_percent_rows(self, chunk):
+        """The emitters' laid-out rows equal the same emitters' rows through
+        analysis._rows (`%` per chunk), for float and integer index columns,
+        with and without a condition tail, and the polyline points equal
+        `%.6g` rows. Each chunk size c runs at 1024, c, c + 1 and 2c + 3
+        rows: for c = 2^14 the sizes 2^14, 2^14 + 1 and 2 * 2^14 + 3, whose
+        last chunk is shorter than the template. Row widths vary inside
+        every chunk, so a short row follows a long one in the template's
+        reused rows and any byte a row leaves stale shows."""
+        rng = np.random.default_rng(chunk)
+        for size in sorted({1024, chunk, chunk + 1, 2 * chunk + 3}):
+            long = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 21, size)
+            short = rng.integers(-9, 10, size) / 4
+            floats = np.where(rng.random(size) < 0.5, long, short)
+            floats[::101] = 1e-300  # falls back to `%`
+            probs = rng.random(size) * 10.0 ** rng.integers(-14, 1, size)
+            probs[rng.random(size) < 0.3] = 0.5
+            ints = rng.integers(0, 10 ** rng.integers(1, 17, size))
+            ints[::89] = -ints[::89] - 1  # negative: falls back to `%`
+            with mock.patch.object(analysis, "_EVENT_CHUNK", chunk):
+                for xs in (floats, ints, np.arange(size)):
+                    for emit, condition in (
+                        (cli.emit_pattern_csv, "none"),
+                        (cli.emit_pattern_csv, "dminus[theta=0.3]"),
+                        (cli.emit_pattern_json, "none"),
+                    ):
+                        payload = {"x": xs, "p": probs, "condition": condition}
+                        with mock.patch.object(cli, "FLOAT_TEXT_MIN", 1):
+                            laid_out = "".join(emit(payload, "{}"))
+                        with mock.patch.object(cli, "FLOAT_TEXT_MIN", size + 1):
+                            assert laid_out == "".join(emit(payload, "{}"))
+                px = rng.uniform(80.0, 696.0, size)
+                py = np.where(rng.random(size) < 0.5, rng.uniform(48.0, 404.0, size), 404.0)
+                points = "".join(_float_text.text_rows((" ", px, ",", py), "%.6g"))
+                assert points == "".join(analysis._rows(" %.6g,%.6g", (px, py)))
 
 
 class TestLoweredSimd:
