@@ -1,9 +1,10 @@
 """Minimal self-contained SVG charts (no plotting dependency).
 
 Output is deterministic: fixed canvas, fixed tick count, and all numbers
-printed as %.6g, so identical data yields byte-identical files. The
-points of a line chart are laid out as bytes by _float_text, with the
-same text; ticks and bar charts are formatted by `%` (analysis._rows).
+printed as %.6g (bar labels as str), so identical data yields
+byte-identical files. The points of a line chart and the marks of a bar
+chart are rows of _text.rows, the same text laid out as bytes from
+_text.TEMPLATE_MIN rows on; the five ticks are formatted by `%`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _float_text, analysis
+from . import _text
 
 WIDTH, HEIGHT = 720, 460
 MARGIN_LEFT, MARGIN_RIGHT = 80, 24
@@ -56,10 +57,11 @@ def _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label) -> Iterato
         f'<line x1="{x0 - 5}" y1="%.6g" x2="{x0}" y2="%.6g" stroke="black"/>\n<text x="{x0 - 8}" '
         f'y="%.6g" text-anchor="end" font-family="sans-serif" font-size="11">%.6g</text>\n'
     )
-    frac = np.arange(5) / 4
-    x, y = x0 + frac * PLOT_W, y0 - frac * PLOT_H
-    ticks = analysis._rows(tick, (x, x, x, x_lo + frac * (x_hi - x_lo), y, y, y + 4, frac * y_hi))
-    return chain((head,), ticks, marks, ("</svg>\n",))
+    ticks = []
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        x, y = x0 + frac * PLOT_W, y0 - frac * PLOT_H
+        ticks.append(tick % (x, x, x, x_lo + frac * (x_hi - x_lo), y, y, y + 4, frac * y_hi))
+    return chain((head, "".join(ticks)), marks, ("</svg>\n",))
 
 
 def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[str]:
@@ -71,13 +73,13 @@ def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[str]:
     py = MARGIN_TOP + PLOT_H - _scale(ys, 0.0, y_hi, PLOT_H)
     head = '<polyline points="%.6g,%.6g' % (px[0], py[0])
     tail = '" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
-    points = _float_text.text_rows((" ", px[1:], ",", py[1:]), "%.6g")
+    points = _text.rows((" ", px[1:], ",", py[1:]), "%.6g")
     marks = chain((head,), points, (tail,))
     return _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label)
 
 
 def bar_chart(labels, values, title, x_label, y_label, comment) -> Iterator[str]:
-    """Bar chart for discrete detector distributions; labels are numbers, written with %s."""
+    """Bar chart for discrete detector distributions; labels are numbers, written as str(label)."""
     values = np.asarray(values)
     count = values.size
     y_hi = max(values.max().item(), 1e-300)
@@ -86,10 +88,10 @@ def bar_chart(labels, values, title, x_label, y_label, comment) -> Iterator[str]
     width = slot * 0.7
     heights = _scale(values, 0.0, y_hi, PLOT_H)
     xs = MARGIN_LEFT + np.arange(count) * slot + (slot - width) / 2
-    row = (
-        f'<rect x="%.6g" y="%.6g" width="{width:.6g}" height="%.6g" fill="#1f6fb2"/>\n'
-        f'<text x="%.6g" y="{y0 + 34}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">%s</text>\n'
-    )
-    marks = analysis._rows(row, (xs, y0 - heights, heights, xs + width / 2, np.asarray(labels)))
+    # str(label) of an int is its %d, and of a float its repr (%r).
+    marks = _text.rows((
+        '<rect x="', xs, '" y="', y0 - heights, f'" width="{width:.6g}" height="', heights,
+        '" fill="#1f6fb2"/>\n<text x="', xs + width / 2, f'" y="{y0 + 34}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="10">', (np.asarray(labels), "%r"), "</text>\n",
+    ), "%.6g")
     return _frame(title, comment, marks, 0.5, count + 0.5, y_hi, x_label, y_label)

@@ -1,15 +1,13 @@
-"""Exact `"%.17g" % v`, `repr(v)` and `"%.6g" % v` of float64 columns, and
-`"%d" % v` of integer columns, laid out as bytes.
+"""The text of every streamed artifact, laid out as bytes.
 
-text_block(values, fmt) returns one NUL-padded row of bytes per value,
-holding exactly the text of Python's correctly rounded conversion
-(Steele & White, PLDI 1990; Gay 1990; Adams, Ryu, PLDI 2018), with no
-Python call per value. The columns of pattern CSV (`%.17g`, or `%d` for
-an integer index) and JSON (`%r`, or `%d`) and the points of an SVG
-polyline (`%.6g`) use it. text_rows joins such columns and constant text
-into rows: one template per artifact, whose constant columns are written
-once and whose array columns each chunk overwrites in place, then drops
-the NULs.
+rows(parts, fmt) joins constant text and columns into the rows of pattern
+CSV and JSON and of SVG chart marks, in one template per artifact (or by
+`%` for short columns); event_rows lays out event logs. text_block(values,
+fmt) returns one NUL-padded row of bytes per value, holding exactly the
+text of Python's correctly rounded conversion (Steele & White, PLDI 1990;
+Gay 1990; Adams, Ryu, PLDI 2018), with no Python call per value: `%.17g`
+(CSV), repr (`%r`: JSON, float bar labels), `%.6g` (SVG coordinates) and
+`%d` (integer columns).
 
 `%.17g` and repr:
 - scale: |v| * 10^k in double-double arithmetic, a Dekker/Veltkamp
@@ -41,12 +39,13 @@ v * 10^3 is rounded to an integer n < 10^6, whose text is two table
 entries OR-ed together: the integer part and the fraction with its
 trailing zeros (and a bare point) dropped. A cell within _TOL of a tie,
 one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and any v
-outside [10, 1000) fall back to `%`.
+outside [10, 1000), such as a bar of height 0, fall back to `%`.
 
 `%d` covers [0, 10^16): the value's groups of four digits are entries of
-the same digit-group table the float digits use (Knuth, TAOCP Vol. 2,
-4.4), right-aligned in the column with the leading zeros NUL. Negative
-values and any from 10^16 up fall back to `%`.
+the digit-group table _groups (Knuth, TAOCP Vol. 2, 4.4), right-aligned
+with the leading zeros NUL; negative values and any from 10^16 up fall
+back. _groups also gives every float digit, the `%.6g` fractions and an
+event log's index digits.
 """
 
 from __future__ import annotations
@@ -56,8 +55,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import analysis
-
+#: Rows formatted, and events drawn (analysis._draws), at a time: no minor
+#: page faults on any benchmark workload (BENCH_21.json).
+CHUNK = 1 << 14
+#: Columns at least this long are laid out in a template; below it one `%`
+#: per chunk is faster (BENCH_31.json, "break_even").
+TEMPLATE_MIN = 384
 #: Bytes per row of each format: the longest texts are
 #: "-1.2345678901234567e-308" and "-1.23457e-308".
 WIDTH = {"%.17g": 24, "%r": 24, "%.6g": 13}
@@ -90,7 +93,6 @@ class _Tables(NamedTuple):
     # (hi), hi's upper 26 bits, hi less those, and 10^k - hi rounded to a
     # double (lo); one take gathers all four.
     scales: np.ndarray
-    groups: np.ndarray  # uint32: 0000..9999 in ASCII, then the same with trailing zeros NUL
     suffixes: np.ndarray  # V5: "e+XX" of exponent - _EXPONENT_OFFSET, NUL-padded
 
 
@@ -117,17 +119,21 @@ def _tables() -> _Tables:
     whole = np.ldexp(mantissa, 53)
     spread = whole * _SPLIT
     high = spread - (spread - whole)
-    values = np.arange(10**4)
-    digits = (values[:, None] // np.array([1000, 100, 10, 1]) % 10 + _ZERO).astype(np.uint8)
-    trailing = sum((values % 10**i == 0).astype(np.uint8) for i in range(1, 5))
-    stripped = digits * (np.arange(4) < 4 - trailing[:, None])
     exponents = range(-_EXPONENT_OFFSET, _EXPONENT_OFFSET + 1)
     suffixes = np.array(["e%+03d" % e for e in exponents], "S5").view("V5")
     return _Tables(
         np.stack([hi, np.ldexp(high, exponent - 53), np.ldexp(whole - high, exponent - 53), los]),
-        np.concatenate([digits, stripped]).view(np.uint32).ravel(),
         suffixes,
     )
+
+
+@functools.cache
+def _groups() -> np.ndarray:
+    """The digit groups, uint32, built on first use: 0000..9999 in ASCII,
+    then the same with trailing zeros NUL (all of 0000's)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    stripped = (digits + _ZERO) * (np.maximum.accumulate(digits[:, ::-1], 1)[:, ::-1] != 0)
+    return np.ascontiguousarray(np.concatenate([digits + _ZERO, stripped])).view(np.uint32).ravel()
 
 
 def _scaled(x: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +247,9 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.nd
     stripped[:, 3] = True
     for col in (2, 1, 0):
         stripped[:, col] = stripped[:, col + 1] & (groups[:, col + 1] == 0)
-    tables = _tables()
     digits = np.empty((size, 17), np.uint8)
     digits[:, 0] = first + _ZERO
-    digits[:, 1:] = np.take(tables.groups, groups + 10**4 * stripped).view(np.uint8).reshape(size, 16)
+    digits[:, 1:] = np.take(_groups(), groups + 10**4 * stripped).view(np.uint8).reshape(size, 16)
 
     # Every column 1.. of a class's rows is written, NULs included: out may
     # hold the text of an earlier chunk.
@@ -258,7 +263,7 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.nd
             block[rows, 1] = digits[rows, 0]
             block[rows, 2] = (tail[rows] != 0) * _POINT
             block[rows, 3:19] = digits[rows, 1:]
-            suffix = np.take(tables.suffixes, exponent[rows] + _EXPONENT_OFFSET)
+            suffix = np.take(_tables().suffixes, exponent[rows] + _EXPONENT_OFFSET)
             block[rows, 19:24] = suffix.view(np.uint8).reshape(count, 5)
         elif cls < 4:  # 0.000ddd: the point is part of the lead
             lead = np.frombuffer(b"0." + b"0" * (3 - cls), np.uint8)
@@ -279,42 +284,117 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.nd
         out[:] = np.take(block, inverse, 0, mode="clip")
 
 
-def text_rows(parts: tuple, fmt: str) -> Iterator[str]:
-    """The rows "".join(parts), where a str part is written as it is and an
-    array part by `fmt % value` of its i-th value, or by `%d` for an
-    integer array (see text_block), in chunks of analysis._EVENT_CHUNK rows.
+def rows(parts: tuple, fmt: str) -> Iterator[str]:
+    """The rows "".join(parts), in chunks of CHUNK rows.
 
-    Every chunk is laid out in one template of min(size, _EVENT_CHUNK)
-    rows, one column per part, each as wide as the longest text of its
-    part. The str parts are written once; each chunk writes its array
-    parts' text into their columns of its rows in place and drops the NULs
-    that pad them. No str part may hold a NUL, and UTF-8 puts a 0x00 byte
-    in no other character's encoding, so deleting every NUL keeps any
-    other text whole. The NULs are dense here (a tenth to near half a row),
-    so bytes.translate deletes them faster than a mask over the block or
-    bytes.replace (BENCH_29.json, "compaction").
+    A str part is written as it is. An array part, a 1-D column of
+    integers or floats or a pair (column, part_fmt), is written by `%d` of
+    its i-th value if it holds integers, else by part_fmt or fmt. All
+    columns are as long as the first. Columns shorter than TEMPLATE_MIN,
+    and any str part that holds a NUL, go through one `%` per chunk;
+    everything else through the template. Both give the same text.
     """
-    size = next(len(part) for part in parts if isinstance(part, np.ndarray))
-    chunk = analysis._EVENT_CHUNK
-    columns, constants, stop = [], [], 0
+    fields, row = [], ""  # row: the `%` format of one row
     for part in parts:
         if isinstance(part, str):
-            text = np.frombuffer(part.encode(), np.uint8)
-            constants.append((text, slice(stop, stop + text.size)))
-            stop += text.size
+            row += part.replace("%", "%%")
         else:
-            part_fmt = "%d" if part.dtype.kind in "iu" else fmt
-            width = _width(part, part_fmt)
-            columns.append((part, part_fmt, slice(stop, stop + width)))
-            stop += width
-    template = np.empty((min(size, chunk), stop), np.uint8)
-    for text, field in constants:
-        template[:, field] = text
-    for start in range(0, size, chunk):
-        block = template[: min(chunk, size - start)]
-        for part, part_fmt, field in columns:
-            text_block(part[start : start + chunk], part_fmt, block[:, field])
+            column, part_fmt = part if isinstance(part, tuple) else (part, fmt)
+            part = column, "%d" if column.dtype.kind in "iu" else part_fmt
+            row += part[1]
+        fields.append(part)
+    columns = [field[0] for field in fields if isinstance(field, tuple)]
+    size, width = len(columns[0]), len(columns)
+    if size >= TEMPLATE_MIN and "\0" not in row:
+        yield from _template_rows(fields, size)
+        return
+    for start in range(0, size, CHUNK):
+        values = [column[start : start + CHUNK].tolist() for column in columns]
+        flat = [None] * (width * len(values[0]))
+        for offset, part in enumerate(values):
+            flat[offset::width] = part
+        yield (row * len(values[0])) % tuple(flat)
+
+
+def _template_rows(fields: list, size: int) -> Iterator[str]:
+    """The rows laid out in one template of min(size, CHUNK) rows, one
+    column per field, as wide as its longest text. The str fields are
+    written once; each chunk writes its columns' text in place (text_block)
+    and drops the NULs that pad them. UTF-8 puts a 0x00 byte in no other
+    character's encoding, so that keeps any other text whole. The NULs are
+    dense (a tenth to near half a row), so bytes.translate drops them faster
+    than a mask or bytes.replace (BENCH_29.json, "compaction")."""
+    places, stop = [], 0
+    for field in fields:
+        width = len(field.encode()) if isinstance(field, str) else _width(*field)
+        places.append(slice(stop, stop + width))
+        stop += width
+    template = np.empty((min(size, CHUNK), stop), np.uint8)
+    for field, place in zip(fields, places):
+        if isinstance(field, str):
+            template[:, place] = np.frombuffer(field.encode(), np.uint8)
+    columns = [(*field, place) for field, place in zip(fields, places) if isinstance(field, tuple)]
+    for start in range(0, size, CHUNK):
+        block = template[: min(CHUNK, size - start)]
+        for column, fmt, place in columns:
+            text_block(column[start : start + CHUNK], fmt, block[:, place])
         yield block.tobytes().translate(None, b"\0").decode()
+
+
+def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int) -> Iterator[str]:
+    """The rows prefix + index + "," + label + "," + marker + suffix of
+    `count` drawn cells, one chunk of text per chunk of `draws`: cell c of a
+    table with `columns` (at most 10) columns is the row labelled
+    labels[c // columns], an int, and marker c % columns; the index counts
+    from 0. prefix and suffix hold no NUL.
+
+    The rows are laid out in one template of min(count, CHUNK) rows: the
+    prefix, the index's digits above the last four (NUL-padded on the left
+    to one width), its last four digits, the cell's `,label,marker`
+    (NUL-padded to one width) and the suffix, which are written once. Each
+    chunk overwrites the middle columns and drops the NULs, which are
+    sparse (under one a row): bytes.replace drops them faster than a mask
+    (BENCH_27.json) or bytes.translate (BENCH_29.json, "compaction").
+    """
+    heads = np.array([f",{label}," for label in labels], dtype="S")
+    cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
+    cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
+    cells[..., -1] = np.arange(columns) + _ZERO
+    cells = cells.reshape(-1, heads.itemsize + 1)
+    # The last four digits of each index of a run of 10^4, and for the
+    # first run the same with each leading zero NUL.
+    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)
+    short = low[: min(count, 10**4)].copy()
+    short[:, :3] *= np.maximum.accumulate(short[:, :3] != _ZERO, axis=1)
+    prefix = np.frombuffer(prefix.encode(), np.uint8)
+    suffix = np.frombuffer(suffix.encode(), np.uint8)
+    # The columns end at c0 (prefix), c1 (high digits), c2 (low digits) and c3 (cell).
+    c0 = prefix.size
+    c1 = c0 + len(str((count - 1) // 10**4 or ""))
+    c2 = c1 + 4
+    c3 = c2 + cells.shape[1]
+    template = np.empty((min(count, CHUNK), c3 + suffix.size), np.uint8)
+    template[:, :c0] = prefix
+    template[:, c3:] = suffix
+
+    def chunks():
+        start = 0
+        for chunk in draws:
+            stop = start + chunk.size
+            block = template[: chunk.size]
+            # One run of indices with the same high digits at a time.
+            for high in range(start // 10**4, (stop - 1) // 10**4 + 1):
+                base = high * 10**4
+                first, last = max(start, base), min(stop, base + 10**4)
+                run = block[first - start : last - start]
+                digits = str(high or "").rjust(c1 - c0, "\0").encode()
+                run[:, c0:c1] = np.frombuffer(digits, np.uint8)
+                run[:, c1:c2] = (low if high else short)[first - base : last - base]
+            np.take(cells, chunk, axis=0, out=block[:, c2:c3])
+            yield block.tobytes().replace(b"\0", b"").decode()
+            start = stop
+
+    return chunks()
 
 
 def _width(values: np.ndarray, fmt: str) -> int:
@@ -382,7 +462,7 @@ def _integers(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rest = values
     for col in range(count - 1, -1, -1):
         rest, groups[:, col] = np.divmod(rest, 10**4)
-    digits = np.take(_tables().groups, groups).view(np.uint8).reshape(-1, 4 * count)
+    digits = np.take(_groups(), groups).view(np.uint8).reshape(-1, 4 * count)
     # v has 1 + (the number of 10^j, 0 < j < shown, not above v) digits.
     length = np.searchsorted(_POWERS[: shown - 1], values, side="right") + 1
     keep = np.arange(shown) >= shown - length[:, None]
@@ -398,9 +478,7 @@ def _fixed6_tables() -> tuple[np.ndarray, np.ndarray]:
     placed after 2, each with trailing zeros and a bare point dropped.
     The first SVG of a process pays the build: numpy makes the fractions
     in about 1 ms, against 5-7 ms formatting each text in Python."""
-    # The digits of 0..9999, NUL where they are trailing zeros (all of 0's).
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
-    stripped = (digits + _ZERO) * (np.maximum.accumulate(digits[:, ::-1], 1)[:, ::-1] != 0)
+    stripped = _groups()[10**4 :].view(np.uint8).reshape(-1, 4)
     fractions = np.zeros((1000 + 10**4, 8), np.uint8)
     fractions[1:1000, 3] = fractions[1001:, 2] = _POINT
     fractions[:1000, 4:7] = stripped[::10, :3]  # .ddd is .ddd0

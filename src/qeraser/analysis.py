@@ -17,18 +17,19 @@ Event logs use one CSV line per detection,
 with a header row; marker_outcome indexes the chosen marker basis (0 for
 plus/d1, 1 for minus/d2). Sampling is inverse-CDF over the exact joint
 table driven by the splitmix64 stream specified in `rng`, so identical
-(scenario, seed) pairs yield byte-identical logs.
+(scenario, seed) pairs yield byte-identical logs. `_text` lays the log out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import core
+from . import _text, core
 from .errors import (
     DimensionMismatchError,
     InvalidCountError,
@@ -266,38 +267,13 @@ class EventRecord(NamedTuple):
 
 EVENT_LOG_HEADER = ",".join(EventRecord._fields)
 
-#: Events drawn, and rows of an event log or pattern artifact formatted, at a time.
-_EVENT_CHUNK = 1 << 14
-
-#: Indices that share their digits above the last four; one block per run.
-_INDEX_RUN = 10**4
-_INDEX, _POWER = np.arange(_INDEX_RUN, dtype=np.uint16)[:, None], np.uint16([1000, 100, 10, 1])
-#: The last four digits of each index of a run as ASCII bytes, and the same
-#: with each leading zero NUL, for the run below _INDEX_RUN.
-_LOW_DIGITS = (_INDEX // _POWER % 10 + ord("0")).astype(np.uint8)
-_SHORT_DIGITS = np.where(np.maximum(_INDEX, 1) < _POWER, 0, _LOW_DIGITS)
-
-
-def _rows(row: str, columns: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """`row % (c[i] for c in columns)` for each i, as _EVENT_CHUNK rows per chunk:
-    the rows of SVG ticks and bar charts, joint tables, and pattern columns
-    too short for _float_text (see cli.FLOAT_TEXT_MIN) or with a condition
-    tail that is not printable."""
-    width = len(columns)
-    for start in range(0, len(columns[0]), _EVENT_CHUNK):
-        parts = [column[start : start + _EVENT_CHUNK].tolist() for column in columns]
-        flat = [None] * (width * len(parts[0]))
-        for offset, part in enumerate(parts):
-            flat[offset::width] = part
-        yield (row * len(parts[0])) % tuple(flat)
-
 
 def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     """Flat (row-major) cell indices of `count` inverse-CDF draws, in chunks.
 
     The seed rule (SplitMix64's constructor) and the count range are
     checked when this is called; the returned iterator then yields
-    _EVENT_CHUNK cells at a time. The CDF is the running sum of the table
+    _text.CHUNK cells at a time. The CDF is the running sum of the table
     rescaled so its last entry is exactly 1; a uniform u (rng.unit_floats)
     lands in the first cell whose CDF exceeds it, so zero-probability cells
     are never drawn.
@@ -324,10 +300,11 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
         bits = 0
     guide = np.searchsorted(cdf, np.arange((1 << bits) + 1) * 2.0**-bits, side="right")
     split = guide[1:] > guide[:-1]
+    chunk = _text.CHUNK
 
     def chunks():
-        for start in range(0, count, _EVENT_CHUNK):
-            outputs = stream.uint64s(min(_EVENT_CHUNK, count - start))
+        for start in range(0, count, chunk):
+            outputs = stream.uint64s(min(chunk, count - start))
             # The bucket is output >> (64 - bits), shifted in two steps so
             # that no shift is by 64.
             buckets = ((outputs >> np.uint64(11)) >> np.uint64(53 - bits)).astype(np.intp)
@@ -413,56 +390,13 @@ def event_log_chunks(
     The chunks join to EVENT_LOG_HEADER and one comma-joined line per
     record, each ending in a newline. Every check of sample_events is
     made before this returns, so iterating raises no QEraserError; the
-    rows are drawn and laid out _EVENT_CHUNK at a time, and no record
-    object is built.
+    rows are drawn and laid out _text.CHUNK at a time (_text.event_rows),
+    and no record object is built.
     """
     draws, labels, columns, seed, count = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
-    # Every row is laid out as bytes in one template of min(count,
-    # _EVENT_CHUNK) rows: `scenario_id,`, the index's digits above the last
-    # four (NUL-padded on the left to one width), its last four digits, the
-    # drawn cell's `,label,marker` (NUL-padded to one width) and
-    # `,order,seed\n`. The constant first and last columns are written once;
-    # each chunk overwrites the others in its rows and drops the NULs. No
-    # field holds a NUL of its own: scenario_id is printable, the labels and
-    # the seed are ints and the order is one of ORDERS; and UTF-8 encodes no
-    # other character with a 0x00 byte. The NULs are sparse (under one a
-    # row), so bytes.replace drops them faster than a mask over every byte
-    # (BENCH_27.json) or bytes.translate, which pattern streams take for
-    # their dense NULs (BENCH_29.json, "compaction").
-    heads = np.array([f",{label}," for label in labels], dtype="S")
-    cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
-    cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
-    cells[..., -1] = np.arange(columns) + ord("0")  # a marker outcome is 0 or 1
-    cells = cells.reshape(-1, heads.itemsize + 1)
-    prefix = np.frombuffer(f"{scenario_id},".encode(), np.uint8)
-    suffix = np.frombuffer(f",{order},{seed}\n".encode(), np.uint8)
-    # The columns end at c0 (prefix), c1 (high digits), c2 (low digits) and c3 (cell).
-    c0 = prefix.size
-    c1 = c0 + len(str((count - 1) // _INDEX_RUN or ""))
-    c2 = c1 + 4
-    c3 = c2 + cells.shape[1]
-    template = np.empty((min(count, _EVENT_CHUNK), c3 + suffix.size), np.uint8)
-    template[:, :c0] = prefix
-    template[:, c3:] = suffix
-
-    def rows():
-        yield EVENT_LOG_HEADER + "\n"
-        start = 0
-        for chunk in draws:
-            stop = start + chunk.size
-            block = template[: chunk.size]
-            # One run of indices with the same high digits at a time.
-            for high in range(start // _INDEX_RUN, (stop - 1) // _INDEX_RUN + 1):
-                base = high * _INDEX_RUN
-                first, last = max(start, base), min(stop, base + _INDEX_RUN)
-                run = block[first - start : last - start]
-                digits = str(high or "").rjust(c1 - c0, "\0").encode()
-                run[:, c0:c1] = np.frombuffer(digits, np.uint8)
-                run[:, c1:c2] = (_LOW_DIGITS if high else _SHORT_DIGITS)[first - base : last - base]
-            np.take(cells, chunk, axis=0, out=block[:, c2:c3])
-            yield block.tobytes().replace(b"\0", b"").decode()
-            start = stop
-
-    return rows()
+    # No field holds a NUL: scenario_id is printable, the labels and the
+    # seed are ints and the order is one of ORDERS.
+    rows = _text.event_rows(draws, labels, columns, f"{scenario_id},", f",{order},{seed}\n", count)
+    return itertools.chain((EVENT_LOG_HEADER + "\n",), rows)

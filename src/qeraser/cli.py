@@ -35,16 +35,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import __version__, _float_text, _svg, analysis, checks, nchannel, twoslit
+from . import __version__, _svg, _text, analysis, checks, nchannel, twoslit
 from .errors import QEraserError, ValidationError
 from .marker import erasure_basis, which_path_basis
 
 ENV_OUT_DIR = "QERASER_OUT_DIR"
 FLOAT_FMT = "%.17g"
 FORMATS = ("csv", "json", "svg")
-#: Pattern columns at least this long are laid out by _float_text;
-#: below it one `%` per chunk is faster (BENCH_25.json, "break_even").
-FLOAT_TEXT_MIN = 1024
 
 
 class _ParseExit(Exception):
@@ -424,13 +421,10 @@ SCENARIOS = {
 #
 # Each emitter checks its input when called and returns the artifact as an
 # iterable of text chunks. Patterns (csv, json, svg) and the event log are
-# built as main writes them, analysis._EVENT_CHUNK rows at a time. Pattern
-# columns of FLOAT_TEXT_MIN rows or more, float or integer, and the points
-# of every SVG line chart are laid out as bytes in one template reused for
-# the whole artifact (_float_text.text_rows); shorter patterns, SVG ticks
-# and bar charts are formatted by one `%` per chunk (analysis._rows). An
-# event log's chunks are laid out the same way (analysis.event_log_chunks);
-# joint tables are one chunk.
+# built as main writes them, _text.CHUNK rows at a time, by _text: pattern
+# rows and chart marks through _text.rows, which picks the layout, and the
+# event log through _text.event_rows (analysis.event_log_chunks). Joint
+# tables and SVG ticks are a few rows of plain `%`.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -463,22 +457,13 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
     if condition != "none":
         header += ",condition"
         tail = f",{condition}\n"
-    # The laid-out rows join the columns' text and the tail as bytes and
-    # drop the NULs that pad the text: a printable tail holds no NUL.
-    if xs.size >= FLOAT_TEXT_MIN and tail[:-1].isprintable():
-        rows = _float_text.text_rows((xs, ",", probs, tail), "%.17g")
-    else:
-        row = ("%d," if xs.dtype.kind in "iu" else FLOAT_FMT + ",") + FLOAT_FMT
-        rows = analysis._rows(row + tail.replace("%", "%%"), (xs, probs))
+    rows = _text.rows((xs, ",", probs, tail), FLOAT_FMT)
     return itertools.chain((f"# config: {echo}\n{header}\n",), rows)
 
 
 def _json_array(column: np.ndarray) -> Iterator[str]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
-    if column.size >= FLOAT_TEXT_MIN:
-        items = _float_text.text_rows((",\n    ", column), "%r")
-    else:
-        items = analysis._rows(",\n    %r", (column,))
+    items = _text.rows((",\n    ", column), "%r")
     yield "[" + next(items)[1:]
     yield from items
     yield "\n  ]"
@@ -520,8 +505,8 @@ def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
 
 
 def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
-    cells = np.array([f"{r},{c}" for r in table.row_labels for c in table.col_labels])
-    rows = analysis._rows("%s," + FLOAT_FMT + "\n", (cells, table.probabilities.reshape(-1)))
+    cells = zip(itertools.product(table.row_labels, table.col_labels), table.probabilities.flat)
+    rows = [f"{r},{c},{FLOAT_FMT % float(p)}\n" for (r, c), p in cells]
     return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]),)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from lowered_simd import lowered_targets, run_with_simd_lowered
 from oracles import chi_square_pass, conditioned_screen_joint, csv_row, tensor
-from qeraser import analysis, core
+from qeraser import _text, analysis, core
 from qeraser.analysis import (
     MARKER_FIRST,
     ORDERS,
@@ -610,7 +610,7 @@ class TestEventLogChunks:
         theta=st.floats(0.0, math.pi),
         count=st.integers(1, 300),
         seed=st.integers(0, 2**64 - 1),
-        chunk=st.sampled_from([1, 7, 1 << 16, analysis._EVENT_CHUNK, "above count"]),
+        chunk=st.sampled_from([1, 7, 1 << 16, _text.CHUNK, "above count"]),
         offset=st.sampled_from([0, 2**70]),
         scenario_id=st.sampled_from(["s", "run 2.ü", "x{}", "100%", "%s%%d"]),
     )
@@ -621,7 +621,7 @@ class TestEventLogChunks:
         marker = which_path_basis() if basis == "whichpath" else erasure_basis(theta)
         args = (state, marker, order, count, seed, scenario_id, [j + offset for j in labels])
         size = count + 1 if chunk == "above count" else chunk
-        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+        with mock.patch.object(_text, "CHUNK", size):
             chunks = list(event_log_chunks(*args))
         assert len(chunks) == 1 + -(-count // size)
         assert all(text.endswith("\n") for text in chunks)
@@ -631,7 +631,7 @@ class TestEventLogChunks:
 
     @pytest.mark.parametrize(
         "scenario, count",
-        [("nchannel", 2 * analysis._EVENT_CHUNK + 5), ("nchannel", 100_003), ("epr", 1_000_001)],
+        [("nchannel", 2 * _text.CHUNK + 5), ("nchannel", 100_003), ("epr", 1_000_001)],
     )
     def test_chunk_boundaries_at_default_size(self, scenario, count):
         """Chunks of the shipped size equal one batch of the same stream.
@@ -641,7 +641,7 @@ class TestEventLogChunks:
         state, labels = SCENARIO_MODELS[scenario]
         args = (state, erasure_basis(0.3), SYSTEM_FIRST, count, 9, "s", labels)
         streamed = "".join(event_log_chunks(*args))
-        with mock.patch.object(analysis, "_EVENT_CHUNK", count + 1):
+        with mock.patch.object(_text, "CHUNK", count + 1):
             assert streamed == reference_log(*args)
         assert streamed == oracle_log(*args)
 
@@ -657,7 +657,7 @@ class TestEventLogChunks:
         args = (state, erasure_basis(0.6), MARKER_FIRST, count, 21, "s", labels)
         expected = oracle_log(*args)
         for size in (10**4 - 1, 10**4, 10**4 + 1):
-            with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+            with mock.patch.object(_text, "CHUNK", size):
                 chunks = list(event_log_chunks(*args))
             assert [text.count("\n") for text in chunks[1:]] == [
                 min(size, count - start) for start in range(0, count, size)
@@ -679,7 +679,7 @@ class TestEventLogChunks:
         UTF-8 scenario_id, with a last chunk of one row."""
         state, _ = SCENARIO_MODELS["nchannel"]
         args = (state, erasure_basis(1.1), SYSTEM_FIRST, 2 * 10**4 + 1, 3, "π-ü€", labels)
-        with mock.patch.object(analysis, "_EVENT_CHUNK", 10**4):
+        with mock.patch.object(_text, "CHUNK", 10**4):
             chunks = list(event_log_chunks(*args))
         assert chunks[-1].count("\n") == 1
         assert "".join(chunks) == oracle_log(*args)

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from qeraser import _svg, analysis, checks, cli, core, marker, twoslit
+from qeraser import _svg, _text, analysis, checks, cli, core, marker, twoslit
 from qeraser.errors import ValidationError
 
 
@@ -434,7 +434,7 @@ class TestStreamedLog:
             return FullDisk(open(path, "wb"), encoding=encoding, newline=newline)
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        monkeypatch.setattr(analysis, "_EVENT_CHUNK", 7)
+        monkeypatch.setattr(_text, "CHUNK", 7)
         out = tmp_path / "events.csv"
         code, stdout, err = run_cli(["sample", "--count", "100", "-o", str(out)], capsys)
         assert code == 4
@@ -512,7 +512,7 @@ class TestStreamedPatterns:
             )
         ),
         condition=st.one_of(st.sampled_from(["none", "d1", "dplus[theta=0.5]"]), st.text()),
-        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK, "above count"]),
+        chunk=st.sampled_from([1, 7, _text.CHUNK, "above count"]),
         echo=ECHOES,
     )
     @example(columns=([1, 2, 3], [0.5, 0.25, 0.25]), condition="50% {x} ü", chunk=1, echo="{}")
@@ -521,14 +521,14 @@ class TestStreamedPatterns:
         xs, ps = columns
         payload = {"x": xs, "p": ps, "condition": condition}
         size = len(xs) + 1 if chunk == "above count" else chunk
-        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+        with mock.patch.object(_text, "CHUNK", size):
             csv = joined(cli.emit_pattern_csv(payload, echo))
             doc = joined(cli.emit_pattern_json(payload, echo))
         assert csv == oracles.pattern_csv(payload, echo)
         assert doc == oracles.pattern_json(payload, echo)
 
     def test_rows_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_EVENT_CHUNK", 7)
+        monkeypatch.setattr(_text, "CHUNK", 7)
         payload = {"x": list(range(1, 16)), "p": [1 / 15] * 15, "condition": "none"}
         chunks = list(cli.emit_pattern_csv(payload, "{}"))
         assert [chunk.count("\n") for chunk in chunks] == [2, 7, 7, 1]
@@ -560,7 +560,7 @@ class TestStreamedPatterns:
                 st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
             )
         ),
-        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK, "above count"]),
+        chunk=st.sampled_from([1, 7, _text.CHUNK, "above count"]),
     )
     @example(bars=(list(range(1, 11)), [0.2, 0.0] * 5), chunk=7)
     @example(bars=([1, 2, 3], [0.0, 0.0, 0.0]), chunk=1)
@@ -568,7 +568,7 @@ class TestStreamedPatterns:
     def test_bar_chart_marks_equal_the_per_detector_reference(self, bars, chunk):
         labels, values = bars
         size = len(values) + 1 if chunk == "above count" else chunk
-        with mock.patch.object(analysis, "_EVENT_CHUNK", size):
+        with mock.patch.object(_text, "CHUNK", size):
             chart = joined(_svg.bar_chart(labels, values, "t <&>", "x", "probability", "{}"))
         marks = oracles.bar_chart_marks(labels, values)
         assert chart.endswith("\n" + marks + "</svg>\n")

@@ -1,6 +1,6 @@
 """The byte-laid float text of pattern CSV, JSON and SVG against Python's own `%`.
 
-_float_text.text_block must print exactly `"%.17g" % v`, `repr(v)` and
+_text.text_block must print exactly `"%.17g" % v`, `repr(v)` and
 `"%.6g" % v`: these differential tests cover random doubles, every power
 of two and its neighbours (exact 17-digit ties such as 2**-25 among
 them), zeros, subnormals, the edges between fixed and scientific notation
@@ -13,6 +13,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lowered_simd import lowered_targets, run_with_simd_lowered, src_env
-from qeraser import _float_text, _svg, analysis, cli, twoslit
+from qeraser import _svg, _text, cli, twoslit
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -32,20 +33,20 @@ def expected(values, fmt):
 
 
 def texts(values, fmt):
-    block = _float_text.text_block(np.asarray(values, np.float64), fmt)
-    assert block.shape == (len(values), _float_text.WIDTH[fmt])
+    block = _text.text_block(np.asarray(values, np.float64), fmt)
+    assert block.shape == (len(values), _text.WIDTH[fmt])
     return [bytes(row[row != 0]).decode() for row in block]
 
 
 def int_texts(values):
     """`"%d" % v` of each value, read back from text_block's rows."""
     values = np.asarray(values)
-    block = _float_text.text_block(values, "%d")
+    block = _text.text_block(values, "%d")
     assert block.shape == (values.size, max(len("%d" % v) for v in values.tolist()))
     return [bytes(row[row != 0]).decode() for row in block]
 
 
-def assert_same_text(values, formats=tuple(_float_text.WIDTH)):
+def assert_same_text(values, formats=tuple(_text.WIDTH)):
     for fmt in formats:
         assert texts(values, fmt) == expected(values, fmt)
 
@@ -119,9 +120,9 @@ class TestDifferential:
         assert_same_text(values)
 
     def test_chunk_pieces_keep_row_order(self):
-        values = np.random.default_rng(5).standard_normal(3 * _float_text._PIECE + 17) ** 7
+        values = np.random.default_rng(5).standard_normal(3 * _text._PIECE + 17) ** 7
         assert_same_text(values)
-        assert_same_text(np.random.default_rng(5).uniform(0.0, 2000.0, 3 * _float_text._PIECE + 17))
+        assert_same_text(np.random.default_rng(5).uniform(0.0, 2000.0, 3 * _text._PIECE + 17))
 
     def test_fixed6_decade_edges(self):
         """10, 100 and 1000 with their neighbours, and values that round up a
@@ -162,8 +163,8 @@ class TestDifferential:
         values = [0.0, -0.0, -1.0, -500.0, 1e-5, 9.99, 1e300, -1e-308, 5e-324,
                   1.7976931348623157e308, math.inf, -math.inf, math.nan]
         assert_same_text(values, ["%.6g"])
-        block = np.empty((len(values), _float_text.WIDTH["%.6g"]), np.uint8)
-        assert _float_text._fixed6(np.array(values), block).all()
+        block = np.empty((len(values), _text.WIDTH["%.6g"]), np.uint8)
+        assert _text._fixed6(np.array(values), block).all()
         assert texts([-1.234567e-308], "%.6g") == ["-1.23457e-308"]  # the widest text
 
     def test_integers_at_every_power_of_ten_and_the_int64_edges(self):
@@ -181,7 +182,7 @@ class TestDifferential:
         values = np.array([0, 5, 10**16 - 1, 10**16, 2**63, 2**64 - 1], np.uint64)
         assert int_texts(values) == expected(values, "%d")
         block = np.empty((values.size, 20), np.uint8)
-        assert _float_text._integers(values, block).tolist() == [False] * 3 + [True] * 3
+        assert _text._integers(values, block).tolist() == [False] * 3 + [True] * 3
 
     def test_integers_of_narrow_dtypes(self):
         for dtype in (np.int8, np.uint8, np.int16, np.int32, np.uint32):
@@ -191,7 +192,7 @@ class TestDifferential:
 
     def test_random_integers_of_every_width(self):
         rng = np.random.default_rng(23)
-        values = rng.integers(0, 10 ** rng.integers(1, 19, 3 * _float_text._PIECE + 17))
+        values = rng.integers(0, 10 ** rng.integers(1, 19, 3 * _text._PIECE + 17))
         values[::97] *= -1
         assert int_texts(values) == expected(values, "%d")
 
@@ -208,18 +209,18 @@ def screen_columns(bins=2**18):
 def test_fallback_share_on_a_wide_screen(fmt):
     """At most 1% of a real pattern's cells are printed by `%`."""
     for column in screen_columns():
-        assert _float_text._decimal(column, fmt == "%r")[2].mean() <= 0.01
+        assert _text._decimal(column, fmt == "%r")[2].mean() <= 0.01
 
 
 def test_fallback_share_on_a_wide_polyline(monkeypatch):
     """None of the points of a 2^16-bin screen's polyline is printed by `%`."""
-    masks, fixed6 = [], _float_text._fixed6
+    masks, fixed6 = [], _text._fixed6
 
     def counted(values, rows):
         masks.append(fixed6(values, rows))
         return masks[-1]
 
-    monkeypatch.setattr(_float_text, "_fixed6", counted)
+    monkeypatch.setattr(_text, "_fixed6", counted)
     xs, ps = screen_columns(2**16)
     "".join(_svg.line_chart(xs, ps, "t", "x", "probability", "{}"))
     assert sum(mask.size for mask in masks) == 2 * (2**16 - 1)
@@ -229,13 +230,13 @@ def test_fallback_share_on_a_wide_polyline(monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fallback_share_on_a_wide_index_column(fmt, monkeypatch, tmp_path):
     """None of the detector indices of `nchannel --n 10^4` is printed by `%`."""
-    masks, integers = [], _float_text._integers
+    masks, integers = [], _text._integers
 
     def counted(values, rows):
         masks.append(integers(values, rows))
         return masks[-1]
 
-    monkeypatch.setattr(_float_text, "_integers", counted)
+    monkeypatch.setattr(_text, "_integers", counted)
     path = tmp_path / f"pattern.{fmt}"
     assert cli.main(["nchannel", "--n", "10000", "--format", fmt, "--output", str(path)]) == 0
     assert sum(mask.size for mask in masks) == 10**4
@@ -249,18 +250,29 @@ def test_fallback_share_on_a_wide_index_column(fmt, monkeypatch, tmp_path):
 
 
 def test_table_is_built_on_first_use_not_at_import():
+    """Importing the CLI builds none of the text tables, and _text, the one
+    text module, imports neither analysis nor cli. The package's __init__
+    imports analysis, so _text is imported under a bare package object."""
     code = (
+        "import sys, types\n"
+        "package = types.ModuleType('qeraser')\n"
+        f"package.__path__ = [{str(Path(_text.__file__).parent)!r}]\n"
+        "sys.modules['qeraser'] = package\n"
+        "import qeraser._text\n"
+        "loaded = {'qeraser.analysis', 'qeraser.cli'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "del sys.modules['qeraser'], sys.modules['qeraser._text']\n"
         "import qeraser.cli\n"
-        "from qeraser import _float_text\n"
-        "assert _float_text._tables.cache_info().currsize == 0\n"
-        "assert _float_text._fixed6_tables.cache_info().currsize == 0\n"
+        "from qeraser import _text\n"
+        "for table in (_text._groups, _text._tables, _text._fixed6_tables):\n"
+        "    assert table.cache_info().currsize == 0, table\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_fixed6_tables_hold_each_text():
-    integers, fractions = _float_text._fixed6_tables()
+    integers, fractions = _text._fixed6_tables()
     texts = [b"\0\0\0" + (b".%03d" % f).rstrip(b"0").rstrip(b".") for f in range(1000)]
     texts += [b"\0\0" + (b".%04d" % f).rstrip(b"0").rstrip(b".") for f in range(10**4)]
     assert fractions.tolist() == np.array(texts, "S8").view(np.uint64).tolist()
@@ -277,14 +289,14 @@ class TestEmitters:
             )
         ),
         condition=st.one_of(st.sampled_from(["none", "d1", "50% {x} ü"]), st.text()),
-        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK]),
+        chunk=st.sampled_from([1, 7, _text.CHUNK]),
     )
     def test_laid_out_rows_equal_the_reference_text(self, columns, condition, chunk):
         xs, ps = columns
         payload = {"x": xs, "p": ps, "condition": condition}
         echo = json.dumps({"kind": "twoslit", "parameters": {}})
-        with mock.patch.object(analysis, "_EVENT_CHUNK", chunk), mock.patch.object(
-            cli, "FLOAT_TEXT_MIN", 1
+        with mock.patch.object(_text, "CHUNK", chunk), mock.patch.object(
+            _text, "TEMPLATE_MIN", 1
         ):
             csv = "".join(cli.emit_pattern_csv(payload, echo))
             doc = "".join(cli.emit_pattern_json(payload, echo))
@@ -302,14 +314,21 @@ class TestEmitters:
             )
         ),
         chart=st.sampled_from(["line", "bar"]),
-        chunk=st.sampled_from([1, 7, analysis._EVENT_CHUNK]),
+        chunk=st.sampled_from([1, 7, _text.CHUNK]),
+        template_min=st.sampled_from([1, _text.TEMPLATE_MIN]),
     )
-    @example(points=([3.5, 3.5, 3.5], [0.2, 0.5, 0.3]), chart="line", chunk=1)  # hi == lo
-    @example(points=([7.0], [0.0]), chart="line", chunk=7)  # no point after the first
-    def test_laid_out_svg_marks_equal_the_reference_text(self, points, chart, chunk):
+    @example(points=([3.5, 3.5, 3.5], [0.2, 0.5, 0.3]), chart="line", chunk=1, template_min=1)  # hi == lo
+    @example(points=([7.0], [0.0]), chart="line", chunk=7, template_min=1)  # no point after the first
+    @example(points=([0.5, -2.0, 1e300], [0.0, 1.0, 1e-5]), chart="bar", chunk=1, template_min=1)
+    @example(points=([1, 2, 10, 300], [0.0, 0.25, 0.0, 1.0]), chart="bar", chunk=7, template_min=1)
+    def test_laid_out_svg_marks_equal_the_reference_text(self, points, chart, chunk, template_min):
+        """At TEMPLATE_MIN = 1 every chart's marks are laid out, bar charts
+        with int and float labels and zero heights among them."""
         xs, ps = points
         payload = {"x": xs, "p": ps, "title": "t", "x_label": "x", "chart": chart}
-        with mock.patch.object(analysis, "_EVENT_CHUNK", chunk):
+        with mock.patch.object(_text, "CHUNK", chunk), mock.patch.object(
+            _text, "TEMPLATE_MIN", template_min
+        ):
             svg = "".join(cli.emit_pattern_svg(payload, "{}"))
         if chart == "line":
             assert f'<polyline points="{oracles.line_chart_points(xs, ps)}" ' in svg
@@ -320,22 +339,26 @@ class TestEmitters:
         xs, ps = screen_columns()
         payload = {"x": xs[:40000], "p": ps[:40000], "condition": "dminus[theta=0.3]",
                    "title": "t", "x_label": "x", "chart": "line"}
-        assert payload["x"].size >= cli.FLOAT_TEXT_MIN
+        assert payload["x"].size >= _text.TEMPLATE_MIN
         assert "".join(cli.emit_pattern_csv(payload, "{}")) == oracles.pattern_csv(payload, "{}")
         assert "".join(cli.emit_pattern_json(payload, "{}")) == oracles.pattern_json(payload, "{}")
         points = oracles.line_chart_points(payload["x"], payload["p"])
         assert f'<polyline points="{points}" ' in "".join(cli.emit_pattern_svg(payload, "{}"))
 
-    @pytest.mark.parametrize("chunk", [1, 7, analysis._EVENT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, _text.CHUNK])
     def test_template_rows_equal_the_percent_rows(self, chunk):
-        """The emitters' laid-out rows equal the same emitters' rows through
-        analysis._rows (`%` per chunk), for float and integer index columns,
-        with and without a condition tail, and the polyline points equal
-        `%.6g` rows. Each chunk size c runs at 1024, c, c + 1 and 2c + 3
-        rows: for c = 2^14 the sizes 2^14, 2^14 + 1 and 2 * 2^14 + 3, whose
-        last chunk is shorter than the template. Row widths vary inside
-        every chunk, so a short row follows a long one in the template's
-        reused rows and any byte a row leaves stale shows."""
+        """The emitters' laid-out rows equal the same emitters' rows by `%`
+        per chunk (_text.rows below TEMPLATE_MIN), for float and integer
+        index columns, with and without a condition tail, and the polyline
+        points and bar marks (int and float labels, zero heights and heights
+        below 1e-4 pixels, whose `%.6g` is scientific) equal `%` rows. A
+        condition that is not printable but holds no NUL is laid out; one
+        with a NUL, which the template would delete, goes through `%`. Each
+        chunk size c runs at 1024, c, c + 1 and 2c + 3 rows: for c = 2^14
+        the sizes 2^14, 2^14 + 1 and 2 * 2^14 + 3, whose last chunk is
+        shorter than the template. Row widths vary inside every chunk, so a
+        short row follows a long one in the template's reused rows and any
+        byte a row leaves stale shows."""
         rng = np.random.default_rng(chunk)
         for size in sorted({1024, chunk, chunk + 1, 2 * chunk + 3}):
             long = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 21, size)
@@ -346,22 +369,38 @@ class TestEmitters:
             probs[rng.random(size) < 0.3] = 0.5
             ints = rng.integers(0, 10 ** rng.integers(1, 17, size))
             ints[::89] = -ints[::89] - 1  # negative: falls back to `%`
-            with mock.patch.object(analysis, "_EVENT_CHUNK", chunk):
+            with mock.patch.object(_text, "CHUNK", chunk):
                 for xs in (floats, ints, np.arange(size)):
                     for emit, condition in (
                         (cli.emit_pattern_csv, "none"),
                         (cli.emit_pattern_csv, "dminus[theta=0.3]"),
+                        (cli.emit_pattern_csv, "\x01 50%\t\u2028"),
+                        (cli.emit_pattern_csv, "a\0b"),
                         (cli.emit_pattern_json, "none"),
                     ):
                         payload = {"x": xs, "p": probs, "condition": condition}
-                        with mock.patch.object(cli, "FLOAT_TEXT_MIN", 1):
+                        with mock.patch.object(_text, "TEMPLATE_MIN", 1), mock.patch.object(
+                            _text, "_template_rows", wraps=_text._template_rows
+                        ) as template:
                             laid_out = "".join(emit(payload, "{}"))
-                        with mock.patch.object(cli, "FLOAT_TEXT_MIN", size + 1):
+                        assert template.called == ("\0" not in condition)
+                        with mock.patch.object(_text, "TEMPLATE_MIN", size + 1):
                             assert laid_out == "".join(emit(payload, "{}"))
                 px = rng.uniform(80.0, 696.0, size)
                 py = np.where(rng.random(size) < 0.5, rng.uniform(48.0, 404.0, size), 404.0)
-                points = "".join(_float_text.text_rows((" ", px, ",", py), "%.6g"))
-                assert points == "".join(analysis._rows(" %.6g,%.6g", (px, py)))
+                points = "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                with mock.patch.object(_text, "TEMPLATE_MIN", size + 1):
+                    assert points == "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                values = rng.random(size)
+                values[0] = 1.0
+                values[rng.random(size) < 0.3] = 0.0
+                values[rng.random(size) < 0.1] *= 1e-7
+                for labels in (np.arange(1, size + 1), rng.uniform(-1e3, 1e3, size)):
+                    charts = []
+                    for template_min in (1, size + 1):
+                        with mock.patch.object(_text, "TEMPLATE_MIN", template_min):
+                            charts.append("".join(_svg.bar_chart(labels, values, "t", "x", "p", "{}")))
+                    assert charts[0] == charts[1]
 
 
 class TestLoweredSimd:
