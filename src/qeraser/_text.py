@@ -60,7 +60,7 @@ import numpy as np
 CHUNK = 1 << 14
 #: Columns at least this long are laid out in a template; below it one `%`
 #: per chunk is faster (BENCH_31.json, "break_even").
-TEMPLATE_MIN = 384
+TEMPLATE_MIN = 768
 #: Bytes per row of each format: the longest texts are
 #: "-1.2345678901234567e-308" and "-1.23457e-308".
 WIDTH = {"%.17g": 24, "%r": 24, "%.6g": 13}
@@ -361,11 +361,7 @@ def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int
     cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
     cells[..., -1] = np.arange(columns) + _ZERO
     cells = cells.reshape(-1, heads.itemsize + 1)
-    # The last four digits of each index of a run of 10^4, and for the
-    # first run the same with each leading zero NUL.
-    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)
-    short = low[: min(count, 10**4)].copy()
-    short[:, :3] *= np.maximum.accumulate(short[:, :3] != _ZERO, axis=1)
+    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)  # the last four digits
     prefix = np.frombuffer(prefix.encode(), np.uint8)
     suffix = np.frombuffer(suffix.encode(), np.uint8)
     # The columns end at c0 (prefix), c1 (high digits), c2 (low digits) and c3 (cell).
@@ -389,7 +385,10 @@ def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int
                 run = block[first - start : last - start]
                 digits = str(high or "").rjust(c1 - c0, "\0").encode()
                 run[:, c0:c1] = np.frombuffer(digits, np.uint8)
-                run[:, c1:c2] = (low if high else short)[first - base : last - base]
+                run[:, c1:c2] = low[first - base : last - base]
+            # The leading zeros of the indices below 10^3 are NUL.
+            for column, below in enumerate((1000, 100, 10), c1):
+                block[: max(below - start, 0), column] = 0
             np.take(cells, chunk, axis=0, out=block[:, c2:c3])
             yield block.tobytes().replace(b"\0", b"").decode()
             start = stop
