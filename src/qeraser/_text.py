@@ -373,6 +373,7 @@ def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int
     template[:, :c0] = prefix
     template[:, c3:] = suffix
 
+    # Built when called, so the template reads CHUNK when _draws does.
     def chunks():
         start = 0
         for chunk in draws:
