@@ -388,7 +388,11 @@ class TestEmitters:
                             assert laid_out == "".join(emit(payload, "{}"))
                 px = rng.uniform(80.0, 696.0, size)
                 py = np.where(rng.random(size) < 0.5, rng.uniform(48.0, 404.0, size), 404.0)
-                points = "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                with mock.patch.object(_text, "TEMPLATE_MIN", 1), mock.patch.object(
+                    _text, "_template_rows", wraps=_text._template_rows
+                ) as template:
+                    points = "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                assert template.called
                 with mock.patch.object(_text, "TEMPLATE_MIN", size + 1):
                     assert points == "".join(_text.rows((" ", px, ",", py), "%.6g"))
                 values = rng.random(size)
