@@ -41,11 +41,12 @@ trailing zeros (and a bare point) dropped. A cell within _TOL of a tie,
 one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and any v
 outside [10, 1000), such as a bar of height 0, fall back to `%`.
 
-`%d` covers [0, 10^16): the value's groups of four digits are entries of
-the digit-group table _groups (Knuth, TAOCP Vol. 2, 4.4), right-aligned
-with the leading zeros NUL; negative values and any from 10^16 up fall
-back. _groups also gives every float digit, the `%.6g` fractions and an
-event log's index digits.
+`%d` covers runs, as every integer column of an artifact is: detectors
+1..n, event indices, a range of event-log labels. A piece that counts up
+by one from some v >= 0 to below 10^16 is laid out by runs, one run of
+equal high digits per 10^4 values, whose last four digits are rows of the
+digit-group table _groups (Knuth, TAOCP Vol. 2, 4.4); any other piece falls
+back whole to `%`. _groups also gives every float digit and `%.6g` fraction.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ _EXPONENT_OFFSET = 300
 #: 106 MiB (BENCH_25.json, "piece_size").
 _PIECE = 1 << 12
 _ZERO, _POINT = ord("0"), ord(".")
-#: 10^1 .. 10^15, against which an integer's digits are counted.
-_POWERS = 10 ** np.arange(1, 16, dtype=np.int64)
 
 
 class _Tables(NamedTuple):
@@ -345,32 +344,28 @@ def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int
     """The rows prefix + index + "," + label + "," + marker + suffix of
     `count` drawn cells, one chunk of text per chunk of `draws`: cell c of a
     table with `columns` (at most 10) columns is the row labelled
-    labels[c // columns], an int, and marker c % columns; the index counts
-    from 0. prefix and suffix hold no NUL.
+    labels[c // columns], labels an integer array, and marker c % columns;
+    the index counts from 0. prefix and suffix hold no NUL.
 
     The rows are laid out in one template of min(count, CHUNK) rows: the
-    prefix, the index's digits above the last four (NUL-padded on the left
-    to one width), its last four digits, the cell's `,label,marker`
-    (NUL-padded to one width) and the suffix, which are written once. Each
-    chunk overwrites the middle columns and drops the NULs, which are
-    sparse (under one a row): bytes.replace drops them faster than a mask
-    (BENCH_27.json) or bytes.translate (BENCH_29.json, "compaction").
+    prefix and suffix, written once, the index (by runs) and the cell's
+    `,label,marker`, from a table of every cell whose labels are one `%d`
+    column of text_block. Each chunk overwrites those two columns and drops
+    the NULs, which are sparse (under one a row): bytes.replace drops them
+    faster than a mask (BENCH_27.json) or bytes.translate (BENCH_29.json).
     """
-    heads = np.array([f",{label}," for label in labels], dtype="S")
-    cells = np.empty((heads.size, columns, heads.itemsize + 1), np.uint8)
-    cells[..., :-1] = heads.view(np.uint8).reshape(-1, 1, heads.itemsize)
+    texts = text_block(labels, "%d")
+    cells = np.empty((labels.size, columns, texts.shape[1] + 3), np.uint8)
+    cells[..., 0] = cells[..., -2] = ord(",")
+    cells[..., 1:-2] = texts[:, None]
     cells[..., -1] = np.arange(columns) + _ZERO
-    cells = cells.reshape(-1, heads.itemsize + 1)
-    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)  # the last four digits
-    prefix = np.frombuffer(prefix.encode(), np.uint8)
-    suffix = np.frombuffer(suffix.encode(), np.uint8)
-    # The columns end at c0 (prefix), c1 (high digits), c2 (low digits) and c3 (cell).
-    c0 = prefix.size
-    c1 = c0 + len(str((count - 1) // 10**4 or ""))
-    c2 = c1 + 4
+    cells = cells.reshape(labels.size * columns, -1)
+    prefix, suffix = (np.frombuffer(text.encode(), np.uint8) for text in (prefix, suffix))
+    # The columns end at c1 (prefix), c2 (index) and c3 (cell).
+    c1, c2 = prefix.size, prefix.size + len(str(count - 1))
     c3 = c2 + cells.shape[1]
     template = np.empty((min(count, CHUNK), c3 + suffix.size), np.uint8)
-    template[:, :c0] = prefix
+    template[:, :c1] = prefix
     template[:, c3:] = suffix
 
     # Built when called, so the template reads CHUNK when _draws does.
@@ -379,22 +374,32 @@ def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int
         for chunk in draws:
             stop = start + chunk.size
             block = template[: chunk.size]
-            # One run of indices with the same high digits at a time.
-            for high in range(start // 10**4, (stop - 1) // 10**4 + 1):
-                base = high * 10**4
-                first, last = max(start, base), min(stop, base + 10**4)
-                run = block[first - start : last - start]
-                digits = str(high or "").rjust(c1 - c0, "\0").encode()
-                run[:, c0:c1] = np.frombuffer(digits, np.uint8)
-                run[:, c1:c2] = low[first - base : last - base]
-            # The leading zeros of the indices below 10^3 are NUL.
-            for column, below in enumerate((1000, 100, 10), c1):
-                block[: max(below - start, 0), column] = 0
+            runs(start, stop, block[:, c1:c2])
             np.take(cells, chunk, axis=0, out=block[:, c2:c3])
             yield block.tobytes().replace(b"\0", b"").decode()
             start = stop
 
     return chunks()
+
+
+def runs(start: int, stop: int, out: np.ndarray) -> None:
+    """Writes `"%d" % v` of v = start..stop-1, 0 <= start < stop <= 10^16,
+    into the rows of out, right-aligned with the leading zeros NUL; out is
+    as wide as the longest text or wider. One run of values with the same
+    high digits v // 10^4 at a time: their text is written once for the
+    run, and the last four digits are rows of the digit-group table."""
+    width = out.shape[1]
+    cut = max(width - 4, 0)  # the columns of the high digits
+    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)[:, max(4 - width, 0) :]
+    for high in range(start // 10**4, (stop - 1) // 10**4 + 1):
+        base = high * 10**4
+        first, last = max(start, base), min(stop, base + 10**4)
+        run = out[first - start : last - start]
+        run[:, :cut] = np.frombuffer(str(high or "").rjust(cut, "\0").encode(), np.uint8)
+        run[:, cut:] = low[first - base : last - base]
+    # The leading zeros: column width - j of the values below 10^(j - 1), j = 4, 3, 2.
+    for column in range(cut, width - 1):
+        out[: max(10 ** (width - 1 - column) - start, 0), column] = 0
 
 
 def _width(values: np.ndarray, fmt: str) -> int:
@@ -448,27 +453,13 @@ def _decimal(values: np.ndarray, shortest: bool):
 
 
 def _integers(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Lays `"%d" % v` out into rows, right-aligned with leading zeros NUL,
-    for integers v in [0, 10^16), and returns the mask of the cells that
-    fall back: negative values and any from 10^16 up."""
-    inside = (values >= 0) & (values < 10**16)
-    if not inside.all():
-        values = np.where(inside, values, 0)
-    values = values.astype(np.int64, copy=False)
-    width = rows.shape[1]
-    shown = min(width, 16)  # digits laid out; a wider text falls back
-    count = -(-shown // 4)  # groups of four digits, the lowest last
-    groups = np.empty((values.size, count), np.int64)
-    rest = values
-    for col in range(count - 1, -1, -1):
-        rest, groups[:, col] = np.divmod(rest, 10**4)
-    digits = np.take(_groups(), groups).view(np.uint8).reshape(-1, 4 * count)
-    # v has 1 + (the number of 10^j, 0 < j < shown, not above v) digits.
-    length = np.searchsorted(_POWERS[: shown - 1], values, side="right") + 1
-    keep = np.arange(shown) >= shown - length[:, None]
-    rows[:, : width - shown] = 0
-    np.multiply(digits[:, 4 * count - shown :], keep, out=rows[:, width - shown :])
-    return ~inside
+    """Lays `"%d" % v` out into rows by runs if the values count up by one from
+    some v >= 0 to below 10^16; returns the fall-back mask: none, else all."""
+    start, stop = int(values[0]), int(values[0]) + values.size
+    run = 0 <= start and stop <= 10**16 and np.array_equal(values, np.arange(start, stop))
+    if run:
+        runs(start, stop, rows)
+    return np.full(values.size, not run)
 
 
 @functools.cache

@@ -305,9 +305,10 @@ def _draws(table: JointTable, count: int, seed) -> Iterator[np.ndarray]:
     def chunks():
         for start in range(0, count, chunk):
             outputs = stream.uint64s(min(chunk, count - start))
-            # The bucket is output >> (64 - bits), shifted in two steps so
-            # that no shift is by 64.
-            buckets = ((outputs >> np.uint64(11)) >> np.uint64(53 - bits)).astype(np.intp)
+            if not bits:  # one split bucket: every draw is searched
+                yield np.searchsorted(cdf, unit_floats(outputs), side="right")
+                continue
+            buckets = (outputs >> np.uint64(64 - bits)).astype(np.intp)
             cells = guide[buckets]
             searched = np.flatnonzero(split[buckets])
             cells[searched] = np.searchsorted(cdf, unit_floats(outputs[searched]), side="right")
@@ -391,11 +392,19 @@ def event_log_chunks(
     record, each ending in a newline. Every check of sample_events is
     made before this returns, so iterating raises no QEraserError; the
     rows are drawn and laid out _text.CHUNK at a time (_text.event_rows),
-    and no record object is built.
+    and no record object is built. The labels become one integer array.
     """
     draws, labels, columns, seed, count = _event_inputs(
         state, marker_basis, order, count, seed, scenario_id, system_labels
     )
+    # np.int64 raises where a bare np.array or np.arange makes floats.
+    try:
+        if isinstance(labels, range):
+            labels = np.arange(*map(np.int64, (labels.start, labels.stop, labels.step)))
+        else:
+            labels = np.array(labels, np.int64)
+    except OverflowError:
+        labels = np.array(labels, object)
     # No field holds a NUL: scenario_id is printable, the labels and the
     # seed are ints and the order is one of ORDERS.
     rows = _text.event_rows(draws, labels, columns, f"{scenario_id},", f",{order},{seed}\n", count)

@@ -671,12 +671,20 @@ class TestEventLogChunks:
             [10**j for j in range(10)],
             [2**63 + j for j in range(9)] + [-(2**64)],
             [-(10**30), 0, 5, -5, 99, 10**25, 7, -123456, 2**63 - 1, -(2**63)],
+            [2**63 + j for j in range(10)],
+            [2**63 + j for j in range(9)] + [5],
+            range(2**63 - 5, 2**63 + 5),
+            range(1, 11),
         ],
-        ids=["negative", "mixed_width", "beyond_int64", "all_kinds"],
+        ids=["negative", "mixed_width", "beyond_int64", "all_kinds", "above_int64",
+             "above_int64_and_small", "range_across_int64", "range"],
     )
     def test_labels_of_any_sign_and_width(self, labels):
         """Negative, mixed-width and beyond-int64 labels under a multi-byte
-        UTF-8 scenario_id, with a last chunk of one row."""
+        UTF-8 scenario_id, with a last chunk of one row. A bare np.array
+        makes labels above int64 uint64, or floats next to a small label; a
+        range across 2^63 is floats to np.arange; a range that fits, as
+        `sample` passes it, is a run of the `%d` kind."""
         state, _ = SCENARIO_MODELS["nchannel"]
         args = (state, erasure_basis(1.1), SYSTEM_FIRST, 2 * 10**4 + 1, 3, "π-ü€", labels)
         with mock.patch.object(_text, "CHUNK", 10**4):

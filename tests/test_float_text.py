@@ -6,11 +6,14 @@ of two and its neighbours (exact 17-digit ties such as 2**-25 among
 them), zeros, subnormals, the edges between fixed and scientific notation
 and the doubles next to every power of ten, where the first guess of the
 decimal exponent can be one off; for `%.6g` also pixel coordinates: the
-decade edges, near-ties at 6 digits and dyadic pixels.
+decade edges, near-ties at 6 digits and dyadic pixels. `%d` columns that
+are runs must be laid out by _text.runs, with no fall-back, and equal `%`;
+any other integer column must fall back whole.
 """
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,12 +41,30 @@ def texts(values, fmt):
     return [bytes(row[row != 0]).decode() for row in block]
 
 
-def int_texts(values):
-    """`"%d" % v` of each value, read back from text_block's rows."""
+def int_texts(values, laid_out):
+    """`"%d" % v` of each value, read back from text_block's rows, under a
+    spy on _text._integers: each piece of the column must be laid out by
+    _text.runs with no fall-back (laid_out, one bool or one per piece), or
+    fall back whole to `%`."""
     values = np.asarray(values)
-    block = _text.text_block(values, "%d")
+    masks, integers = [], _text._integers
+
+    def spy(piece, rows):
+        masks.append(integers(piece, rows))
+        return masks[-1]
+
+    with mock.patch.object(_text, "_integers", spy):
+        block = _text.text_block(values, "%d")
     assert block.shape == (values.size, max(len("%d" % v) for v in values.tolist()))
+    edges = [*range(0, values.size, _text._PIECE), values.size]
+    assert [mask.size for mask in masks] == np.diff(edges).tolist()
+    runs = laid_out if isinstance(laid_out, list) else [laid_out] * len(masks)
+    assert [set(mask.tolist()) for mask in masks] == [{not run} for run in runs]
     return [bytes(row[row != 0]).decode() for row in block]
+
+
+def assert_same_int_text(values, laid_out):
+    assert int_texts(values, laid_out) == expected(values, "%d")
 
 
 def assert_same_text(values, formats=tuple(_text.WIDTH)):
@@ -167,34 +188,69 @@ class TestDifferential:
         assert _text._fixed6(np.array(values), block).all()
         assert texts([-1.234567e-308], "%.6g") == ["-1.23457e-308"]  # the widest text
 
+    def test_runs_from_zero_and_across_every_power_of_ten(self):
+        """Runs from 0, of widths 1 to 5 (below the four digits of a group
+        too), and from 10^k - 2 for k = 1..15, where the text widens."""
+        for stop in (1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10**4, 10**4 + 1, 10**5):
+            assert_same_int_text(np.arange(stop), True)
+        for k in range(1, 16):
+            for size in (1, 3, 2 * 10**4 + 5):
+                assert_same_int_text(np.arange(10**k - 2, 10**k - 2 + size), True)
+
+    def test_runs_across_group_and_piece_edges(self):
+        """Runs longer than a piece, whose pieces start off the 10^4 runs of
+        high digits, and a piece that holds one value of a run."""
+        piece = _text._PIECE
+        for start in (1, 10**4 - 3, 2 * 10**4 - piece, 10**12 - 5000, 10**16 - 3 * piece - 18):
+            assert_same_int_text(np.arange(start, start + 3 * piece + 17), True)
+            assert_same_int_text(np.arange(start, start + piece + 1), True)
+
+    def test_runs_of_narrow_and_unsigned_dtypes(self):
+        for dtype in (np.int8, np.uint8, np.int16, np.int32, np.uint32):
+            top = int(np.iinfo(dtype).max)
+            assert_same_int_text(np.arange(max(top - 3 * _text._PIECE, 0), top + 1, dtype=dtype), True)
+            assert_same_int_text(np.arange(0, min(top + 1, 2 * 10**4), dtype=dtype), True)
+        assert_same_int_text(np.arange(10**16 - 2 * _text._PIECE - 3, 10**16, dtype=np.uint64), True)
+
+    def test_columns_that_are_no_run_fall_back_whole(self):
+        """A run reaching 10^16, a negative start, a run that steps by 2 or
+        down, and a column whose second piece breaks the run."""
+        assert_same_int_text(np.arange(10**16 - 3, 10**16 + 2), False)
+        assert_same_int_text(np.arange(10**16 - 3, 10**16 + 2, dtype=np.uint64), False)
+        assert_same_int_text(np.arange(-3, 20), False)
+        assert_same_int_text(np.arange(0, 40, 2), False)
+        assert_same_int_text(np.arange(20, 0, -1), False)
+        column = np.arange(5, 5 + 2 * _text._PIECE + 1)
+        column[-2] = 0
+        assert_same_int_text(column, [True, False, True])
+
     def test_integers_at_every_power_of_ten_and_the_int64_edges(self):
         powers = [10**k + step for k in range(1, 17) for step in (-1, 0, 1)]
         values = [0, 1, *powers, 10**16, 2**63 - 1, -(2**63), -1, -9, -10, -10**5, -(10**16)]
-        assert int_texts(values) == expected(values, "%d")
-        assert int_texts(values[::-1]) == expected(values[::-1], "%d")
+        assert_same_int_text(values, False)
+        assert_same_int_text(values[::-1], False)
         # A column as wide as its widest value: k digits, then k + 1.
         for k in range(1, 18):
             column = [0, 1, 10 ** (k - 1), 10**k - 1, 7 * 10 ** (k - 1)]
-            assert int_texts(column) == expected(column, "%d")
-            assert int_texts(column + [10**k]) == expected(column + [10**k], "%d")
+            assert_same_int_text(column, False)
+            assert_same_int_text(column + [10**k], False)
 
     def test_integers_above_int64_fall_back(self):
         values = np.array([0, 5, 10**16 - 1, 10**16, 2**63, 2**64 - 1], np.uint64)
-        assert int_texts(values) == expected(values, "%d")
-        block = np.empty((values.size, 20), np.uint8)
-        assert _text._integers(values, block).tolist() == [False] * 3 + [True] * 3
+        assert_same_int_text(values, False)
+        assert_same_int_text(np.array([2**63 + j for j in range(10)], object), False)
 
     def test_integers_of_narrow_dtypes(self):
         for dtype in (np.int8, np.uint8, np.int16, np.int32, np.uint32):
             info = np.iinfo(dtype)
             values = np.array([info.min, info.min + 1, 0, 1, 9, 10, info.max - 1, info.max], dtype)
-            assert int_texts(values) == expected(values, "%d")
+            assert_same_int_text(values, False)
 
     def test_random_integers_of_every_width(self):
         rng = np.random.default_rng(23)
         values = rng.integers(0, 10 ** rng.integers(1, 19, 3 * _text._PIECE + 17))
         values[::97] *= -1
-        assert int_texts(values) == expected(values, "%d")
+        assert_same_int_text(values, False)
 
 
 def screen_columns(bins=2**18):
@@ -227,9 +283,16 @@ def test_fallback_share_on_a_wide_polyline(monkeypatch):
     assert sum(mask.sum() for mask in masks) == 0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_fallback_share_on_a_wide_index_column(fmt, monkeypatch, tmp_path):
-    """None of the detector indices of `nchannel --n 10^4` is printed by `%`."""
+@pytest.mark.parametrize("argv", [
+    ["nchannel", "--n", "10000", "--format", "csv"],
+    ["nchannel", "--n", "10000", "--format", "json"],
+    ["nchannel", "--n", "10000", "--format", "svg"],
+    ["sample", "--n", "10000", "--count", "20000"],
+], ids=["csv", "json", "svg", "sample"])
+def test_fallback_share_on_a_wide_index_column(argv, monkeypatch, tmp_path):
+    """None of the 10^4 detector numbers of `nchannel --n 10^4` (index
+    column or bar labels) or of the labels of a `sample --n 10^4` log is
+    printed by `%`: they are runs."""
     masks, integers = [], _text._integers
 
     def counted(values, rows):
@@ -237,15 +300,22 @@ def test_fallback_share_on_a_wide_index_column(fmt, monkeypatch, tmp_path):
         return masks[-1]
 
     monkeypatch.setattr(_text, "_integers", counted)
-    path = tmp_path / f"pattern.{fmt}"
-    assert cli.main(["nchannel", "--n", "10000", "--format", fmt, "--output", str(path)]) == 0
+    path = tmp_path / "artifact"
+    assert cli.main([*argv, "--output", str(path)]) == 0
     assert sum(mask.size for mask in masks) == 10**4
     assert sum(mask.sum() for mask in masks) == 0
     text = path.read_text()
-    if fmt == "csv":
+    if argv[-1] == "csv":
         index = [int(line.split(",")[0]) for line in text.splitlines()[2:]]
-    else:
+    elif argv[-1] == "json":
         index = json.loads(text)["index_or_x"]
+    elif argv[-1] == "svg":
+        index = [int(label) for label in re.findall(r'font-size="10"[^>]*>(\d+)<', text)]
+    else:
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert [int(row[1]) for row in rows] == list(range(20000))
+        assert {int(row[2]) for row in rows} <= set(range(1, 10**4 + 1))
+        return
     assert index == list(range(1, 10**4 + 1))  # detectors 1..n
 
 
