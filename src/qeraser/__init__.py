@@ -10,7 +10,7 @@ analysis layer verifies that joint statistics are independent of the
 measurement ordering and provides deterministic seeded event sampling.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .analysis import (
     MARKER_FIRST,

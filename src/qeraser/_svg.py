@@ -2,9 +2,9 @@
 
 Output is deterministic: fixed canvas, fixed tick count, and all numbers
 printed as %.6g (bar labels as str), so identical data yields
-byte-identical files. The points of a line chart and the marks of a bar
-chart are rows of _text.rows, the same text laid out as bytes from
-_text.TEMPLATE_MIN rows on; the five ticks are formatted by `%`.
+byte-identical files. A chart is UTF-8 byte chunks: its points or bars
+are rows of _text.rows (laid out as bytes from _text.TEMPLATE_MIN rows
+on), its head and five ticks one `%` text, encoded once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _scale(values: np.ndarray, lo, hi, pixels) -> np.ndarray:
     return (values - lo) / (hi - lo) * pixels
 
 
-def _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label) -> Iterator[str]:
+def _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label) -> Iterator[bytes]:
     """The head, axes and ticks, then the marks, then `</svg>`; one element per line."""
     x0, y0, mid = MARGIN_LEFT, MARGIN_TOP + PLOT_H, MARGIN_TOP + PLOT_H / 2
     head = (
@@ -61,24 +61,24 @@ def _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label) -> Iterato
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x, y = x0 + frac * PLOT_W, y0 - frac * PLOT_H
         ticks.append(tick % (x, x, x, x_lo + frac * (x_hi - x_lo), y, y, y + 4, frac * y_hi))
-    return chain((head, "".join(ticks)), marks, ("</svg>\n",))
+    return chain(((head + "".join(ticks)).encode(),), marks, (b"</svg>\n",))
 
 
-def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[str]:
+def line_chart(xs, ys, title, x_label, y_label, comment) -> Iterator[bytes]:
     """Polyline chart for continuous patterns."""
     xs, ys = np.asarray(xs), np.asarray(ys)
     x_lo, x_hi = xs.min().item(), xs.max().item()
     y_hi = max(ys.max().item(), 1e-300)
     px = MARGIN_LEFT + _scale(xs, x_lo, x_hi, PLOT_W)
     py = MARGIN_TOP + PLOT_H - _scale(ys, 0.0, y_hi, PLOT_H)
-    head = '<polyline points="%.6g,%.6g' % (px[0], py[0])
-    tail = '" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
+    head = b'<polyline points="%.6g,%.6g' % (px[0], py[0])
+    tail = b'" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
     points = _text.rows((" ", px[1:], ",", py[1:]), "%.6g")
     marks = chain((head,), points, (tail,))
     return _frame(title, comment, marks, x_lo, x_hi, y_hi, x_label, y_label)
 
 
-def bar_chart(labels, values, title, x_label, y_label, comment) -> Iterator[str]:
+def bar_chart(labels, values, title, x_label, y_label, comment) -> Iterator[bytes]:
     """Bar chart for discrete detector distributions; labels are numbers, written as str(label)."""
     values = np.asarray(values)
     count = values.size

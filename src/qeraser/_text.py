@@ -1,13 +1,13 @@
-"""The text of every streamed artifact, laid out as bytes.
+"""The text of every streamed artifact, laid out as UTF-8 bytes.
 
 rows(parts, fmt) joins constant text and columns into the rows of pattern
 CSV and JSON and of SVG chart marks, in one template per artifact (or by
-`%` for short columns); event_rows lays out event logs. text_block(values,
-fmt) returns one NUL-padded row of bytes per value, holding exactly the
-text of Python's correctly rounded conversion (Steele & White, PLDI 1990;
-Gay 1990; Adams, Ryu, PLDI 2018), with no Python call per value: `%.17g`
-(CSV), repr (`%r`: JSON, float bar labels), `%.6g` (SVG coordinates) and
-`%d` (integer columns).
+`%` for short columns); event_rows lays out event logs. Both yield
+bytearray or bytes chunks. text_block(values, fmt) returns one NUL-padded
+row of bytes per value, holding exactly the text of Python's correctly
+rounded conversion (Steele & White, PLDI 1990; Gay 1990; Adams, Ryu, PLDI
+2018), with no Python call per value: `%.17g` (CSV), repr (`%r`: JSON,
+float bar labels), `%.6g` (SVG coordinates) and `%d` (integer columns).
 
 `%.17g` and repr:
 - scale: |v| * 10^k in double-double arithmetic, a Dekker/Veltkamp
@@ -283,15 +283,15 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.nd
         out[:] = np.take(block, inverse, 0, mode="clip")
 
 
-def rows(parts: tuple, fmt: str) -> Iterator[str]:
-    """The rows "".join(parts), in chunks of CHUNK rows.
+def rows(parts: tuple, fmt: str) -> Iterator[bytes | bytearray]:
+    """The UTF-8 bytes of the rows "".join(parts), in chunks of CHUNK rows.
 
     A str part is written as it is. An array part, a 1-D column of
     integers or floats or a pair (column, part_fmt), is written by `%d` of
     its i-th value if it holds integers, else by part_fmt or fmt. All
     columns are as long as the first. Columns shorter than TEMPLATE_MIN,
-    and any str part that holds a NUL, go through one `%` per chunk;
-    everything else through the template. Both give the same text.
+    and any str part that holds a NUL, go through one `%` per chunk, then
+    encode; everything else through the template. Both give the same bytes.
     """
     fields, row = [], ""  # row: the `%` format of one row
     for part in parts:
@@ -312,23 +312,25 @@ def rows(parts: tuple, fmt: str) -> Iterator[str]:
         flat = [None] * (width * len(values[0]))
         for offset, part in enumerate(values):
             flat[offset::width] = part
-        yield (row * len(values[0])) % tuple(flat)
+        yield ((row * len(values[0])) % tuple(flat)).encode()
 
 
-def _template_rows(fields: list, size: int) -> Iterator[str]:
+def _template_rows(fields: list, size: int) -> Iterator[bytearray]:
     """The rows laid out in one template of min(size, CHUNK) rows, one
     column per field, as wide as its longest text. The str fields are
-    written once; each chunk writes its columns' text in place (text_block)
-    and drops the NULs that pad them. UTF-8 puts a 0x00 byte in no other
-    character's encoding, so that keeps any other text whole. The NULs are
-    dense (a tenth to near half a row), so bytes.translate drops them faster
-    than a mask or bytes.replace (BENCH_29.json, "compaction")."""
+    written once, encoded; each chunk writes its columns' text in place
+    (text_block) and drops the NULs that pad them. UTF-8 puts a 0x00 byte
+    in no other character's encoding, so that keeps any other text whole.
+    The NULs are dense, so translate drops them faster than a mask or
+    replace (BENCH_29.json, "compaction"), straight from the template's
+    bytearray (a short last chunk: from a copy of its rows)."""
     places, stop = [], 0
     for field in fields:
         width = len(field.encode()) if isinstance(field, str) else _width(*field)
         places.append(slice(stop, stop + width))
         stop += width
-    template = np.empty((min(size, CHUNK), stop), np.uint8)
+    buffer = bytearray(min(size, CHUNK) * stop)
+    template = np.frombuffer(buffer, np.uint8).reshape(-1, stop)
     for field, place in zip(fields, places):
         if isinstance(field, str):
             template[:, place] = np.frombuffer(field.encode(), np.uint8)
@@ -337,46 +339,51 @@ def _template_rows(fields: list, size: int) -> Iterator[str]:
         block = template[: min(CHUNK, size - start)]
         for column, fmt, place in columns:
             text_block(column[start : start + CHUNK], fmt, block[:, place])
-        yield block.tobytes().translate(None, b"\0").decode()
+        yield (buffer if block.size == len(buffer) else buffer[: block.size]).translate(None, b"\0")
 
 
-def event_rows(draws, labels, columns: int, prefix: str, suffix: str, count: int) -> Iterator[str]:
-    """The rows prefix + index + "," + label + "," + marker + suffix of
-    `count` drawn cells, one chunk of text per chunk of `draws`: cell c of a
-    table with `columns` (at most 10) columns is the row labelled
-    labels[c // columns], labels an integer array, and marker c % columns;
-    the index counts from 0. prefix and suffix hold no NUL.
+def event_rows(
+    draws, labels, columns: int, prefix: str, suffix: str, count: int
+) -> Iterator[bytearray]:
+    """The UTF-8 bytes of the rows prefix + index + "," + label + "," +
+    marker + suffix of `count` drawn cells, one chunk per chunk of `draws`:
+    cell c of a table with `columns` (at most 10) columns is the row
+    labelled labels[c // columns], labels an integer array, and marker
+    c % columns; the index counts from 0. prefix and suffix hold no NUL.
 
     The rows are laid out in one template of min(count, CHUNK) rows: the
     prefix and suffix, written once, the index (by runs) and the cell's
     `,label,marker`, from a table of every cell whose labels are one `%d`
-    column of text_block. Each chunk overwrites those two columns and drops
-    the NULs, which are sparse (under one a row): bytes.replace drops them
-    faster than a mask (BENCH_27.json) or bytes.translate (BENCH_29.json).
+    column of text_block, copied as one void element a row. Each chunk
+    overwrites those two columns and drops the NULs, which are sparse
+    (under one a row): replace drops them faster than a mask (BENCH_27.json)
+    or translate (BENCH_29.json), from the template as in _template_rows.
     """
     texts = text_block(labels, "%d")
     cells = np.empty((labels.size, columns, texts.shape[1] + 3), np.uint8)
     cells[..., 0] = cells[..., -2] = ord(",")
     cells[..., 1:-2] = texts[:, None]
     cells[..., -1] = np.arange(columns) + _ZERO
-    cells = cells.reshape(labels.size * columns, -1)
+    cells = cells.reshape(labels.size * columns, -1).view(f"V{cells.shape[2]}")[:, 0]
     prefix, suffix = (np.frombuffer(text.encode(), np.uint8) for text in (prefix, suffix))
     # The columns end at c1 (prefix), c2 (index) and c3 (cell).
     c1, c2 = prefix.size, prefix.size + len(str(count - 1))
-    c3 = c2 + cells.shape[1]
-    template = np.empty((min(count, CHUNK), c3 + suffix.size), np.uint8)
+    c3 = c2 + cells.itemsize
+    buffer = bytearray(min(count, CHUNK) * (c3 + suffix.size))
+    template = np.frombuffer(buffer, np.uint8).reshape(-1, c3 + suffix.size)
     template[:, :c1] = prefix
     template[:, c3:] = suffix
+    drawn = template[:, c2:c3].view(cells.dtype)[:, 0]
 
     # Built when called, so the template reads CHUNK when _draws does.
     def chunks():
         start = 0
         for chunk in draws:
             stop = start + chunk.size
-            block = template[: chunk.size]
-            runs(start, stop, block[:, c1:c2])
-            np.take(cells, chunk, axis=0, out=block[:, c2:c3])
-            yield block.tobytes().replace(b"\0", b"").decode()
+            runs(start, stop, template[: chunk.size, c1:c2])
+            drawn[: chunk.size] = np.take(cells, chunk)
+            size = chunk.size * template.shape[1]
+            yield (buffer if size == len(buffer) else buffer[:size]).replace(b"\0", b"")
             start = stop
 
     return chunks()
@@ -387,16 +394,19 @@ def runs(start: int, stop: int, out: np.ndarray) -> None:
     into the rows of out, right-aligned with the leading zeros NUL; out is
     as wide as the longest text or wider. One run of values with the same
     high digits v // 10^4 at a time: their text is written once for the
-    run, and the last four digits are rows of the digit-group table."""
+    run, and the last four digits are rows of the digit-group table, copied
+    as one void element a row."""
     width = out.shape[1]
     cut = max(width - 4, 0)  # the columns of the high digits
-    low = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)[:, max(4 - width, 0) :]
+    low = f"V{width - cut}"
+    table = _groups()[: 10**4].view(np.uint8).reshape(-1, 4)[:, 4 - width + cut :].view(low)[:, 0]
+    lows = out[:, cut:].view(low)[:, 0]
     for high in range(start // 10**4, (stop - 1) // 10**4 + 1):
         base = high * 10**4
         first, last = max(start, base), min(stop, base + 10**4)
-        run = out[first - start : last - start]
-        run[:, :cut] = np.frombuffer(str(high or "").rjust(cut, "\0").encode(), np.uint8)
-        run[:, cut:] = low[first - base : last - base]
+        rows = slice(first - start, last - start)
+        out[rows, :cut] = np.frombuffer(str(high or "").rjust(cut, "\0").encode(), np.uint8)
+        lows[rows] = table[first - base : last - base]
     # The leading zeros: column width - j of the values below 10^(j - 1), j = 4, 3, 2.
     for column in range(cut, width - 1):
         out[: max(10 ** (width - 1 - column) - start, 0), column] = 0

@@ -385,11 +385,11 @@ def event_log_chunks(
     seed: int,
     scenario_id: str = "scenario",
     system_labels=None,
-) -> Iterator[str]:
-    """The CSV text of sample_events' records, header first, in chunks.
+) -> Iterator[bytes | bytearray]:
+    """The CSV of sample_events' records, header first, in chunks of UTF-8 bytes.
 
-    The chunks join to EVENT_LOG_HEADER and one comma-joined line per
-    record, each ending in a newline. Every check of sample_events is
+    The chunks join to the encoded EVENT_LOG_HEADER and one comma-joined
+    line per record, each ending in a newline. Every check of sample_events is
     made before this returns, so iterating raises no QEraserError; the
     rows are drawn and laid out _text.CHUNK at a time (_text.event_rows),
     and no record object is built. The labels become one integer array.
@@ -408,4 +408,4 @@ def event_log_chunks(
     # No field holds a NUL: scenario_id is printable, the labels and the
     # seed are ints and the order is one of ORDERS.
     rows = _text.event_rows(draws, labels, columns, f"{scenario_id},", f",{order},{seed}\n", count)
-    return itertools.chain((EVENT_LOG_HEADER + "\n",), rows)
+    return itertools.chain(((EVENT_LOG_HEADER + "\n").encode(),), rows)

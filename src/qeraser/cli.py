@@ -22,6 +22,7 @@ error, 4 I/O error. Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import itertools
 import json
@@ -225,7 +226,7 @@ def _build_config(kind: str, ns: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _config_echo(config: ScenarioConfig) -> str:
+def _config_echo(config: ScenarioConfig, ensure_ascii: bool = True) -> str:
     payload = {
         "kind": config.kind,
         "parameters": {
@@ -233,7 +234,7 @@ def _config_echo(config: ScenarioConfig) -> str:
         },
         "output": config.output,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, ensure_ascii=ensure_ascii)
 
 
 # -- scenario execution -------------------------------------------------------
@@ -419,12 +420,13 @@ SCENARIOS = {
 
 # -- emitters -----------------------------------------------------------------
 #
-# Each emitter checks its input when called and returns the artifact as an
-# iterable of text chunks. Patterns (csv, json, svg) and the event log are
-# built as main writes them, _text.CHUNK rows at a time, by _text: pattern
-# rows and chart marks through _text.rows, which picks the layout, and the
-# event log through _text.event_rows (analysis.event_log_chunks). Joint
-# tables and SVG ticks are a few rows of plain `%`.
+# Each emitter checks its input when called and returns the artifact as
+# bytes or bytearray chunks of its UTF-8 text, which main writes with no
+# text layer. Patterns (csv, json, svg) and the event log are built as
+# main writes them, _text.CHUNK rows at a time, by _text: pattern rows and
+# chart marks through _text.rows, which picks the layout, and the event
+# log through _text.event_rows (analysis.event_log_chunks). Joint tables,
+# SVG ticks and fixed text are a few rows of plain `%`, encoded once.
 
 
 def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +450,7 @@ def _pattern_columns(payload) -> tuple[np.ndarray, np.ndarray]:
     return xs, probs
 
 
-def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
+def emit_pattern_csv(payload, echo: str) -> Iterator[bytes]:
     """CSV with columns index_or_x,probability[,condition] at 17 digits."""
     xs, probs = _pattern_columns(payload)
     condition = payload["condition"]
@@ -458,18 +460,18 @@ def emit_pattern_csv(payload, echo: str) -> Iterator[str]:
         header += ",condition"
         tail = f",{condition}\n"
     rows = _text.rows((xs, ",", probs, tail), FLOAT_FMT)
-    return itertools.chain((f"# config: {echo}\n{header}\n",), rows)
+    return itertools.chain((f"# config: {echo}\n{header}\n".encode(),), rows)
 
 
-def _json_array(column: np.ndarray) -> Iterator[str]:
+def _json_array(column: np.ndarray) -> Iterator[bytes]:
     """json.dumps(column.tolist(), indent=2) one level deep, in chunks."""
     items = _text.rows((",\n    ", column), "%r")
-    yield "[" + next(items)[1:]
+    yield b"[" + next(items)[1:]
     yield from items
-    yield "\n  ]"
+    yield b"\n  ]"
 
 
-def emit_pattern_json(payload, echo: str) -> Iterator[str]:
+def emit_pattern_json(payload, echo: str) -> Iterator[bytes]:
     """json.dumps of the document with sort_keys=True, indent=2, written out by hand.
 
     The four keys are fixed, so they are written in sorted order; a
@@ -479,44 +481,44 @@ def emit_pattern_json(payload, echo: str) -> Iterator[str]:
     config = json.dumps(json.loads(echo), sort_keys=True, indent=2).replace("\n", "\n  ")
     return itertools.chain(
         (f'{{\n  "condition": {json.dumps(payload["condition"])},\n'
-         f'  "config": {config},\n  "index_or_x": ',),
+         f'  "config": {config},\n  "index_or_x": '.encode(),),
         _json_array(xs),
-        (',\n  "probability": ',),
+        (b',\n  "probability": ',),
         _json_array(probs),
-        ("\n}\n",),
+        (b"\n}\n",),
     )
 
 
-def emit_pattern_svg(payload, echo: str) -> Iterator[str]:
+def emit_pattern_svg(payload, echo: str) -> Iterator[bytes]:
     _, probs = _pattern_columns(payload)
     chart = _svg.bar_chart if payload["chart"] == "bar" else _svg.line_chart
     comment = f"config: {echo}"
     return chart(payload["x"], probs, payload["title"], payload["x_label"], "probability", comment)
 
 
-def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[str]:
+def emit_joint_json(table: analysis.JointTable, echo: str) -> tuple[bytes]:
     document = {
         "config": json.loads(echo),
         "row_labels": list(table.row_labels),
         "col_labels": list(table.col_labels),
         "probabilities": table.probabilities.tolist(),
     }
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n",)
+    return ((json.dumps(document, sort_keys=True, indent=2) + "\n").encode(),)
 
 
-def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[str]:
+def emit_joint_csv(table: analysis.JointTable, echo: str) -> tuple[bytes]:
     cells = zip(itertools.product(table.row_labels, table.col_labels), table.probabilities.flat)
     rows = [f"{r},{c},{FLOAT_FMT % float(p)}\n" for (r, c), p in cells]
-    return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]),)
+    return ("".join([f"# config: {echo}\nrow,col,probability\n", *rows]).encode(),)
 
 
-def emit_event_log(rows: Iterable[str], echo: str) -> Iterator[str]:
+def emit_event_log(rows: Iterable[bytes], echo: str) -> Iterator[bytes]:
     """The config line, then the header and rows of analysis.event_log_chunks."""
-    return itertools.chain((f"# config: {echo}\n",), rows)
+    return itertools.chain((f"# config: {echo}\n".encode(),), rows)
 
 
-def run(config: ScenarioConfig) -> tuple[Iterable[str], str]:
-    """Execute one scenario; returns (artifact text chunks, default filename stem).
+def run(config: ScenarioConfig) -> tuple[Iterable[bytes], str]:
+    """Execute one scenario; returns (artifact byte chunks, default filename stem).
 
     Every error of the scenario is raised here, before any chunk exists.
     """
@@ -591,14 +593,20 @@ def main(argv=None) -> int:
         chunks, stem = run(config)
         path = _resolve_output(config, stem)
         if path is None:
-            sys.stdout.writelines(chunks)
+            # The file's bytes. A user string stdout cannot encode (all in the config) is exit 4.
+            _config_echo(config, ensure_ascii=False).encode(sys.stdout.encoding or "utf-8")
+            if hasattr(sys.stdout, "buffer"):
+                sys.stdout.flush()
+                sys.stdout.buffer.writelines(chunks)
+            else:  # a StringIO, say
+                sys.stdout.writelines(codecs.iterdecode(chunks, "utf-8"))
         else:
             if path.parent != Path("."):
                 path.parent.mkdir(parents=True, exist_ok=True)
             # Written in place, not renamed over: the path may be a device
             # or a symlink. A failing run never gets here, so it leaves no
             # file; an I/O error part-way can leave a partial one.
-            with open(path, "w", encoding="utf-8", newline="") as handle:
+            with open(path, "wb") as handle:
                 handle.writelines(chunks)
             # The file is written; characters stdout cannot encode print as escapes.
             encoding = sys.stdout.encoding or "utf-8"

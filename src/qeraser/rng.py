@@ -47,13 +47,15 @@ class SplitMix64:
     def uint64s(self, count: int) -> np.ndarray:
         """Next `count` outputs as a uint64 array (advances the stream)."""
         count = _integer(count, "count", 0, MAX_SIZE, InvalidCountError)
-        idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
+        z = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
-        state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)  # wraps mod 2^64
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._seed)  # state_i, then mixed in place, all mod 2^64
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(mix)
+        return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=shifted), out=z)
 
     def floats(self, count: int) -> np.ndarray:
         """Next `count` uniform doubles in [0, 1) as a float64 array."""

@@ -624,9 +624,9 @@ class TestEventLogChunks:
         with mock.patch.object(_text, "CHUNK", size):
             chunks = list(event_log_chunks(*args))
         assert len(chunks) == 1 + -(-count // size)
-        assert all(text.endswith("\n") for text in chunks)
+        assert all(text.endswith(b"\n") for text in chunks)
         expected = oracle_log(*args)
-        assert "".join(chunks) == expected
+        assert b"".join(chunks) == expected.encode()
         assert reference_log(*args) == expected
 
     @pytest.mark.parametrize(
@@ -640,7 +640,7 @@ class TestEventLogChunks:
         """
         state, labels = SCENARIO_MODELS[scenario]
         args = (state, erasure_basis(0.3), SYSTEM_FIRST, count, 9, "s", labels)
-        streamed = "".join(event_log_chunks(*args))
+        streamed = b"".join(event_log_chunks(*args)).decode()
         with mock.patch.object(_text, "CHUNK", count + 1):
             assert streamed == reference_log(*args)
         assert streamed == oracle_log(*args)
@@ -659,10 +659,10 @@ class TestEventLogChunks:
         for size in (10**4 - 1, 10**4, 10**4 + 1):
             with mock.patch.object(_text, "CHUNK", size):
                 chunks = list(event_log_chunks(*args))
-            assert [text.count("\n") for text in chunks[1:]] == [
+            assert [text.count(b"\n") for text in chunks[1:]] == [
                 min(size, count - start) for start in range(0, count, size)
             ]
-            assert "".join(chunks) == expected, size
+            assert b"".join(chunks) == expected.encode(), size
 
     @pytest.mark.parametrize(
         "labels",
@@ -689,8 +689,8 @@ class TestEventLogChunks:
         args = (state, erasure_basis(1.1), SYSTEM_FIRST, 2 * 10**4 + 1, 3, "π-ü€", labels)
         with mock.patch.object(_text, "CHUNK", 10**4):
             chunks = list(event_log_chunks(*args))
-        assert chunks[-1].count("\n") == 1
-        assert "".join(chunks) == oracle_log(*args)
+        assert chunks[-1].count(b"\n") == 1
+        assert b"".join(chunks) == oracle_log(*args).encode()
 
     @pytest.mark.parametrize(
         "count, seed, scenario_id, labels, error",

@@ -407,13 +407,13 @@ def test_peak_rss_is_the_childs_own(tmp_path):
     assert peak < 128 * 1024, peak
 
 
-class FullDisk(io.TextIOWrapper):
-    """A text file whose writes fail with ENOSPC once one chunk is written."""
+class FullDisk(io.FileIO):
+    """A binary file whose writes fail with ENOSPC once one chunk is written."""
 
-    def write(self, text):
+    def write(self, data):
         if self.tell():
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return super().write(text)
+        return super().write(data)
 
 
 class TestStreamedLog:
@@ -430,8 +430,9 @@ class TestStreamedLog:
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_write_error_after_first_chunk_is_exit_4(self, tmp_path, capsys, monkeypatch):
-        def full_disk_open(path, mode, encoding, newline):
-            return FullDisk(open(path, "wb"), encoding=encoding, newline=newline)
+        def full_disk_open(path, mode):
+            assert mode == "wb"
+            return FullDisk(path, mode)
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
         monkeypatch.setattr(_text, "CHUNK", 7)
@@ -483,6 +484,20 @@ WIDE_SCREEN = [
     "twoslit", "--preset", "custom", "--d", "2", "--wavelength", "1", "--L", "1000",
     "--x-min=-2000", "--x-max", "2000",
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--count", "20001", "--scenario-id", "é"],
+    [*WIDE_SCREEN, "--bins", "4096", "--format", "json"],
+], ids=["event_log", "twoslit_json"])
+def test_stdout_gets_the_bytes_of_the_file(tmp_path, argv):
+    """Under a UTF-8 stdout, `-o -` writes the artifact's bytes as `-o file` does."""
+    streamed = run_with_stdout_encoding(tmp_path, "utf-8", [*argv, "-o", "-"])
+    written = run_with_stdout_encoding(tmp_path, "utf-8", [*argv, "-o", "a"])
+    assert (streamed.returncode, streamed.stderr, written.returncode) == (0, b"", 0)
+    assert streamed.stdout == (tmp_path / "a").read_bytes()
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 #: Config echoes as cli._config_echo writes them: sorted keys, nested values.
 ECHOES = st.dictionaries(
@@ -492,10 +507,10 @@ ECHOES = st.dictionaries(
 ).map(lambda parameters: json.dumps({"kind": "twoslit", "parameters": parameters}, sort_keys=True))
 
 
-def joined(chunks) -> str:
+def joined(chunks) -> bytes:
     chunks = list(chunks)
     assert all(chunks)
-    return "".join(chunks)
+    return b"".join(chunks)
 
 
 class TestStreamedPatterns:
@@ -524,14 +539,14 @@ class TestStreamedPatterns:
         with mock.patch.object(_text, "CHUNK", size):
             csv = joined(cli.emit_pattern_csv(payload, echo))
             doc = joined(cli.emit_pattern_json(payload, echo))
-        assert csv == oracles.pattern_csv(payload, echo)
-        assert doc == oracles.pattern_json(payload, echo)
+        assert csv == oracles.pattern_csv(payload, echo).encode()
+        assert doc == oracles.pattern_json(payload, echo).encode()
 
     def test_rows_per_chunk(self, monkeypatch):
         monkeypatch.setattr(_text, "CHUNK", 7)
         payload = {"x": list(range(1, 16)), "p": [1 / 15] * 15, "condition": "none"}
         chunks = list(cli.emit_pattern_csv(payload, "{}"))
-        assert [chunk.count("\n") for chunk in chunks] == [2, 7, 7, 1]
+        assert [chunk.count(b"\n") for chunk in chunks] == [2, 7, 7, 1]
 
     @given(
         points=st.integers(1, 30).flatmap(
@@ -549,7 +564,7 @@ class TestStreamedPatterns:
     @example(points=([7], [0.0]))
     def test_line_chart_points_equal_the_per_point_reference(self, points):
         xs, ys = points
-        chart = "".join(_svg.line_chart(xs, ys, "t <&>", "x", "probability", "config: {}"))
+        chart = b"".join(_svg.line_chart(xs, ys, "t <&>", "x", "probability", "config: {}")).decode()
         assert chart.count("<polyline ") == 1
         assert f'<polyline points="{oracles.line_chart_points(xs, ys)}" ' in chart
 
@@ -571,8 +586,8 @@ class TestStreamedPatterns:
         with mock.patch.object(_text, "CHUNK", size):
             chart = joined(_svg.bar_chart(labels, values, "t <&>", "x", "probability", "{}"))
         marks = oracles.bar_chart_marks(labels, values)
-        assert chart.endswith("\n" + marks + "</svg>\n")
-        assert chart.count("<rect ") == len(values) + 1  # the bars and the background
+        assert chart.endswith(("\n" + marks + "</svg>\n").encode())
+        assert chart.count(b"<rect ") == len(values) + 1  # the bars and the background
 
     @given(st.text())
     @example("a & b <c> &amp; ]]> \"'")
@@ -617,12 +632,12 @@ class TestStreamedPatterns:
         listed = analysis.joint_distribution(state, basis, order, system_labels=labels)
         assert isinstance(memoized.row_labels, range) and listed.row_labels == labels
         for emit in (cli.emit_joint_csv, cli.emit_joint_json):
-            assert "".join(emit(memoized, "{}")) == "".join(emit(listed, "{}"))
+            assert b"".join(emit(memoized, "{}")) == b"".join(emit(listed, "{}"))
         logs = [
-            "".join(analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels))
+            b"".join(analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels))
             for system_labels in (None, labels)
         ]
-        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order)
+        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order).encode()
         # 1-based, as sample's detectors 1..n: a range's labels are ints
         # already, so core._integer runs O(1) times, not once per label.
         integer, calls = core._integer, []
@@ -632,11 +647,11 @@ class TestStreamedPatterns:
         for system_labels in (one_based, list(one_based)):
             calls.clear()
             chunks = analysis.event_log_chunks(state, basis, order, 70000, 9, "s", system_labels)
-            logs.append("".join(chunks))
+            logs.append(b"".join(chunks))
             counts.append(len(calls))
         assert counts[0] <= 2 and counts[1] >= state.system_dim, counts
         listed = analysis.joint_distribution(state, basis, order, system_labels=list(one_based))
-        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order)
+        assert logs[0] == logs[1] == oracles.event_log(listed, 70000, 9, "s", order).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_peak_memory_grows_little_with_bins(self, tmp_path, fmt):

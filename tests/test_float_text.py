@@ -278,7 +278,7 @@ def test_fallback_share_on_a_wide_polyline(monkeypatch):
 
     monkeypatch.setattr(_text, "_fixed6", counted)
     xs, ps = screen_columns(2**16)
-    "".join(_svg.line_chart(xs, ps, "t", "x", "probability", "{}"))
+    b"".join(_svg.line_chart(xs, ps, "t", "x", "probability", "{}"))
     assert sum(mask.size for mask in masks) == 2 * (2**16 - 1)
     assert sum(mask.sum() for mask in masks) == 0
 
@@ -368,10 +368,10 @@ class TestEmitters:
         with mock.patch.object(_text, "CHUNK", chunk), mock.patch.object(
             _text, "TEMPLATE_MIN", 1
         ):
-            csv = "".join(cli.emit_pattern_csv(payload, echo))
-            doc = "".join(cli.emit_pattern_json(payload, echo))
-        assert csv == oracles.pattern_csv(payload, echo)
-        assert doc == oracles.pattern_json(payload, echo)
+            csv = b"".join(cli.emit_pattern_csv(payload, echo))
+            doc = b"".join(cli.emit_pattern_json(payload, echo))
+        assert csv == oracles.pattern_csv(payload, echo).encode()
+        assert doc == oracles.pattern_json(payload, echo).encode()
 
     @given(
         points=st.integers(1, 40).flatmap(
@@ -399,7 +399,7 @@ class TestEmitters:
         with mock.patch.object(_text, "CHUNK", chunk), mock.patch.object(
             _text, "TEMPLATE_MIN", template_min
         ):
-            svg = "".join(cli.emit_pattern_svg(payload, "{}"))
+            svg = b"".join(cli.emit_pattern_svg(payload, "{}")).decode()
         if chart == "line":
             assert f'<polyline points="{oracles.line_chart_points(xs, ps)}" ' in svg
         else:
@@ -410,10 +410,12 @@ class TestEmitters:
         payload = {"x": xs[:40000], "p": ps[:40000], "condition": "dminus[theta=0.3]",
                    "title": "t", "x_label": "x", "chart": "line"}
         assert payload["x"].size >= _text.TEMPLATE_MIN
-        assert "".join(cli.emit_pattern_csv(payload, "{}")) == oracles.pattern_csv(payload, "{}")
-        assert "".join(cli.emit_pattern_json(payload, "{}")) == oracles.pattern_json(payload, "{}")
+        csv, doc, svg = (b"".join(emit(payload, "{}")).decode() for emit in (
+            cli.emit_pattern_csv, cli.emit_pattern_json, cli.emit_pattern_svg))
+        assert csv == oracles.pattern_csv(payload, "{}")
+        assert doc == oracles.pattern_json(payload, "{}")
         points = oracles.line_chart_points(payload["x"], payload["p"])
-        assert f'<polyline points="{points}" ' in "".join(cli.emit_pattern_svg(payload, "{}"))
+        assert f'<polyline points="{points}" ' in svg
 
     @pytest.mark.parametrize("chunk", [1, 7, _text.CHUNK])
     def test_template_rows_equal_the_percent_rows(self, chunk):
@@ -452,19 +454,19 @@ class TestEmitters:
                         with mock.patch.object(_text, "TEMPLATE_MIN", 1), mock.patch.object(
                             _text, "_template_rows", wraps=_text._template_rows
                         ) as template:
-                            laid_out = "".join(emit(payload, "{}"))
+                            laid_out = b"".join(emit(payload, "{}"))
                         assert template.called == ("\0" not in condition)
                         with mock.patch.object(_text, "TEMPLATE_MIN", size + 1):
-                            assert laid_out == "".join(emit(payload, "{}"))
+                            assert laid_out == b"".join(emit(payload, "{}"))
                 px = rng.uniform(80.0, 696.0, size)
                 py = np.where(rng.random(size) < 0.5, rng.uniform(48.0, 404.0, size), 404.0)
                 with mock.patch.object(_text, "TEMPLATE_MIN", 1), mock.patch.object(
                     _text, "_template_rows", wraps=_text._template_rows
                 ) as template:
-                    points = "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                    points = b"".join(_text.rows((" ", px, ",", py), "%.6g"))
                 assert template.called
                 with mock.patch.object(_text, "TEMPLATE_MIN", size + 1):
-                    assert points == "".join(_text.rows((" ", px, ",", py), "%.6g"))
+                    assert points == b"".join(_text.rows((" ", px, ",", py), "%.6g"))
                 values = rng.random(size)
                 values[0] = 1.0
                 values[rng.random(size) < 0.3] = 0.0
@@ -473,7 +475,7 @@ class TestEmitters:
                     charts = []
                     for template_min in (1, size + 1):
                         with mock.patch.object(_text, "TEMPLATE_MIN", template_min):
-                            charts.append("".join(_svg.bar_chart(labels, values, "t", "x", "p", "{}")))
+                            charts.append(b"".join(_svg.bar_chart(labels, values, "t", "x", "p", "{}")))
                     assert charts[0] == charts[1]
 
 
