@@ -25,21 +25,28 @@ float bar labels), `%.6g` (SVG coordinates) and `%d` (integer columns).
   settle, or of the interval's edge, a nonzero |v| outside
   [_LOWEST, _HIGHEST] and, for repr, a power of two (its interval is
   lopsided) is printed by Python's own `%`.
-- lay out: the cells are sorted by notation class (fixed notation for
-  each exponent, or scientific); within a class every field has one
-  column, so the digits, point, leading "0.000" and exponent are copied
-  as column slices. NULs pad what a class does not use. A piece of one
-  class is written straight into its rows of the caller's block; a
-  mixed piece goes through a class-sorted scratch block and back by one
-  take.
+- lay out: a cell's digits are its first digit and four groups of four,
+  uint32 texts from the digit-group table _groups, a group's trailing
+  zeros NUL where no later digit is nonzero. Each field of a notation
+  class (fixed notation for each exponent, or scientific) is written
+  into the class's rows as one element a row: in scientific notation
+  each group as a uint32 and the exponent suffix as a uint64; in fixed
+  notation the digits (contiguous words), the leading "0.000" and the
+  integer part (from the groups with their zeros) as numpy void
+  elements; the first digit, the point and the sign as bytes. NULs pad
+  what a class does not use. A piece whose least and greatest exponent
+  put it in one class, as most pieces of a screen column are, is
+  written straight into its rows of the caller's block; a mixed piece
+  is sorted by class into a scratch block and scattered back, one void
+  element a row.
 
 `%.6g` covers [10, 1000), where it is fixed notation with 2 or 3 integer
 digits: the range of SVG pixel coordinates. v * 10^4 (below 100) or
-v * 10^3 is rounded to an integer n < 10^6, whose text is two table
-entries OR-ed together: the integer part and the fraction with its
-trailing zeros (and a bare point) dropped. A cell within _TOL of a tie,
-one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and any v
-outside [10, 1000), such as a bar of height 0, fall back to `%`.
+v * 10^3 is rounded to an integer n < 10^6, whose text is one uint64,
+two table entries OR-ed together: the integer part and the fraction with
+its trailing zeros (and a bare point) dropped. A cell within _TOL of a
+tie, one that rounds up to 10^6 (a decade: 999.9995 prints "1000") and
+any v outside [10, 1000), such as a bar of height 0, fall back to `%`.
 
 `%d` covers runs, as every integer column of an artifact is: detectors
 1..n, event indices, a range of event-log labels. A piece that counts up
@@ -92,7 +99,8 @@ class _Tables(NamedTuple):
     # (hi), hi's upper 26 bits, hi less those, and 10^k - hi rounded to a
     # double (lo); one take gathers all four.
     scales: np.ndarray
-    suffixes: np.ndarray  # V5: "e+XX" of exponent - _EXPONENT_OFFSET, NUL-padded
+    # uint64: three NULs, then "e+XX" of exponent - _EXPONENT_OFFSET, NUL-padded
+    suffixes: np.ndarray
 
 
 @functools.cache
@@ -119,7 +127,7 @@ def _tables() -> _Tables:
     spread = whole * _SPLIT
     high = spread - (spread - whole)
     exponents = range(-_EXPONENT_OFFSET, _EXPONENT_OFFSET + 1)
-    suffixes = np.array(["e%+03d" % e for e in exponents], "S5").view("V5")
+    suffixes = np.array([b"\0\0\0e%+03d" % e for e in exponents], "S8").view(np.uint64)
     return _Tables(
         np.stack([hi, np.ldexp(high, exponent - 53), np.ldexp(whole - high, exponent - 53), los]),
         suffixes,
@@ -159,18 +167,23 @@ def _rounded(whole, frac, exact, unit: int):
     where a tie cannot be told from the arithmetic.
     """
     if unit == 1:
-        excess = 2 * frac - 1
-        up = (excess > 0) | (excess == 0) & (whole & 1 == 1)
-        return whole + up, None, ~exact & (np.abs(excess) < 2 * _TOL)
-    quotient = whole // unit
-    rest = whole - quotient * unit
-    # Twice the distance below y less twice the distance above, its sign
-    # exact: one rounding of an exact integer plus an exact double.
-    excess = (2 * rest - unit) + 2 * frac
-    up = (excess > 0) | (excess == 0) & (quotient & 1 == 1)
+        quotient, excess = whole, 2 * frac - 1
+    else:
+        quotient = whole // unit
+        rest = whole - quotient * unit
+        # Twice the distance below y less twice the distance above, its sign
+        # exact: one rounding of an exact integer plus an exact double.
+        excess = (2 * rest - unit) + 2 * frac
+    up = excess > 0
+    tie = excess == 0
+    if tie.any():  # to even
+        up |= tie & (quotient & 1 == 1)
+    unsure = ~exact & (np.abs(excess) < 2 * _TOL)
+    if unit == 1:
+        return whole + up, None, unsure
     # Only distances below 12 matter (half an ulp is below 11.2).
     gap = np.minimum(np.where(up, unit - rest, rest), 64) + np.where(up, -frac, frac)
-    return (quotient + up) * unit, gap, ~exact & (np.abs(excess) < 2 * _TOL)
+    return (quotient + up) * unit, gap, unsure
 
 
 def _digits(x: np.ndarray, shortest: bool):
@@ -178,16 +191,17 @@ def _digits(x: np.ndarray, shortest: bool):
     x's text is the integer `digits` in [10^16, 10^17) times 10^(exponent - 16)."""
     exponent = np.floor(np.log10(x)).astype(np.intp)  # may be one off next to 10^e
     whole, frac = _scaled(x, 16 - _KMIN - exponent)
-    for step in (1, -1):
-        off = whole >= 10**17 if step == 1 else whole < 10**16
-        if off.any():
-            exponent[off] += step
-            whole[off], frac[off] = _scaled(x[off], 16 - _KMIN - exponent[off])
-    fall_back = (whole < 10**16) | (whole >= 10**17)
-    scales = _tables().scales
-    index = 16 - _KMIN - exponent
-    # Where 10^k is a double (k = 0..22), hi + lo is y exactly and a tie is a tie.
-    exact = np.take(scales[3], index) == 0
+    fall_back = np.zeros(x.shape, bool)
+    if whole.min() < 10**16 or whole.max() >= 10**17:
+        for step in (1, -1):
+            off = whole >= 10**17 if step == 1 else whole < 10**16
+            if off.any():
+                exponent[off] += step
+                whole[off], frac[off] = _scaled(x[off], 16 - _KMIN - exponent[off])
+        fall_back = (whole < 10**16) | (whole >= 10**17)
+    # Where 10^k is a double (k = 16 - exponent in 0..22), hi + lo is y
+    # exactly and a tie is a tie.
+    exact = (exponent >= -6) & (exponent <= 16)
     digits, _, unsure = _rounded(whole, frac, exact, 1)
     fall_back |= unsure
     if not shortest:
@@ -195,7 +209,7 @@ def _digits(x: np.ndarray, shortest: bool):
 
     mantissa, power = np.frexp(x)
     fall_back |= mantissa == 0.5  # a power of two: the interval below it is half as wide
-    half_ulp = np.ldexp(np.take(scales[0], index), power - 54)
+    half_ulp = np.ldexp(np.take(_tables().scales[0], 16 - _KMIN - exponent), power - 54)
     # Roundings to 10 and to 100 inside the interval replace the 17 digits,
     # the one to 100 where both are. That suffices: a rounding to 100
     # inside the interval is less than 11.2 from y, so it is the only
@@ -204,8 +218,9 @@ def _digits(x: np.ndarray, shortest: bool):
     shorter = np.ones(x.shape, bool)
     for unit in (10, 100):
         candidate, gap, unsure = _rounded(whole, frac, exact, unit)
-        fall_back |= shorter & ((np.abs(gap - half_ulp) < _TOL) | (gap < half_ulp) & unsure)
-        shorter &= gap < half_ulp
+        inside = gap < half_ulp
+        fall_back |= shorter & ((np.abs(gap - half_ulp) < _TOL) | inside & unsure)
+        shorter &= inside
         digits = np.where(shorter, candidate, digits)
     return _carried(digits, exponent) + (fall_back,)
 
@@ -222,65 +237,76 @@ def _layout(number: np.ndarray, exponent: np.ndarray, shortest: bool, out: np.nd
     """Writes the text of number * 10^(exponent - 16) into columns 1.. of
     out, one NUL-padded row each; column 0 is left for the sign."""
     size = number.size
-    fixed = (exponent >= -4) & (exponent < (16 if shortest else 17))
-    kind = np.where(fixed, exponent + 4, _SCIENTIFIC).astype(np.uint8)
-    counts = np.bincount(kind, minlength=_SCIENTIFIC + 1)
-    mixed = counts.max() < size  # else the rows are in class order already
-    if mixed:
-        # The classes go to a scratch block in class order, and back by one take.
+    top = 16 if shortest else 17  # fixed notation: exponent in [-4, top)
+    low, high = int(exponent.min()), int(exponent.max())
+    if low == high and -4 <= low < top or high < -4 or low >= top:
+        classes, order, block = [(low + 4 if -4 <= low < top else _SCIENTIFIC, size)], None, out
+    else:  # the classes go to a scratch block in class order, and back by one scatter
+        kind = np.where((exponent >= -4) & (exponent < top), exponent + 4, _SCIENTIFIC).astype(np.uint8)
+        classes = [(cls, count) for cls, count in enumerate(np.bincount(kind).tolist()) if count]
         order = np.argsort(kind, kind="stable")
         number, exponent = np.take(number, order), np.take(exponent, order)
         block = np.empty((size, WIDTH["%.17g"]), np.uint8)
-    else:
-        block = out
-    # The first digit, then four groups of four digits, each group NUL
-    # where its digits are trailing zeros of the whole number.
+    # The first digit, then the texts of four groups of four digits, g[0]
+    # to g[3], each NUL where its digits are trailing zeros of the number.
     first = number // 10**16
     tail = number - first * 10**16
-    halves = np.empty((size, 2), np.int64)
-    halves[:, 0] = tail // 10**8
-    halves[:, 1] = tail - halves[:, 0] * 10**8
-    high = halves // 10**4
-    groups = np.stack([high, halves - high * 10**4], 2).reshape(size, 4)
-    stripped = np.zeros((size, 4), bool)  # every group after this one is 0
-    stripped[:, 3] = True
-    for col in (2, 1, 0):
-        stripped[:, col] = stripped[:, col + 1] & (groups[:, col + 1] == 0)
-    digits = np.empty((size, 17), np.uint8)
-    digits[:, 0] = first + _ZERO
-    digits[:, 1:] = np.take(_groups(), groups + 10**4 * stripped).view(np.uint8).reshape(size, 16)
+    upper = tail // 10**8
+    lower = tail - upper * 10**8
+    g0, g2 = upper // 10**4, lower // 10**4
+    g = [g0, upper - g0 * 10**4, g2, lower - g2 * 10**4]
+    s2 = g[3] == 0  # every group after g[2] is 0
+    s1 = s2 & (g[2] == 0)
+    s0 = s1 & (g[1] == 0)
+    table = _groups()
+    texts = [table[g[i] + 10**4 * stripped] for i, stripped in enumerate((s0, s1, s2, True))]
+    if classes[0][0] != _SCIENTIFIC:  # fixed notation copies the digits as one run:
+        # seven uint32 words a row, whose bytes 3.. are the 17 digits and 8 NULs.
+        words = np.zeros((size, 7), np.uint32)
+        for i, text in enumerate(texts):
+            words[:, i + 1] = text
+        digits = words.view(np.uint8)[:, 3:]
+        digits[:, 0] = first + _ZERO
 
     # Every column 1.. of a class's rows is written, NULs included: out may
-    # hold the text of an earlier chunk.
+    # hold the text of an earlier chunk. Each field is one element a row, a
+    # byte, a word or a void; digits[:, k] is NUL if k > 16 or digit k is a
+    # trailing zero.
     stop = 0
-    for cls, count in enumerate(counts.tolist()):
+    for cls, count in classes:
         rows = slice(stop, stop + count)
         stop += count
-        if not count:
-            continue
         if cls == _SCIENTIFIC:
-            block[rows, 1] = digits[rows, 0]
-            block[rows, 2] = (tail[rows] != 0) * _POINT
-            block[rows, 3:19] = digits[rows, 1:]
+            # The suffix's word first: the last group overwrites its three NULs.
             suffix = np.take(_tables().suffixes, exponent[rows] + _EXPONENT_OFFSET)
-            block[rows, 19:24] = suffix.view(np.uint8).reshape(count, 5)
+            block[rows, 16:].view(np.uint64)[:, 0] = suffix
+            block[rows, 1] = first[rows] + _ZERO
+            block[rows, 2] = (tail[rows] != 0).view(np.uint8) * _POINT
+            for i, text in enumerate(texts):
+                block[rows, 3 + 4 * i : 7 + 4 * i].view(np.uint32)[:, 0] = text[rows]
         elif cls < 4:  # 0.000ddd: the point is part of the lead
-            lead = np.frombuffer(b"0." + b"0" * (3 - cls), np.uint8)
-            block[rows, 1 : 1 + lead.size] = lead
-            block[rows, 1 + lead.size : 18 + lead.size] = digits[rows]
-            block[rows, 18 + lead.size :] = 0
+            lead = 5 - cls
+            _void(block[rows, 1 : 1 + lead])[:] = b"0." + b"0" * (3 - cls)
+            _void(block[rows, 1 + lead :])[:] = _void(digits[rows, : 23 - lead])
         else:  # the integer part keeps its zeros; a point only before a fraction (repr: ".0")
             point = cls - 3
-            fraction = number[rows] % 10 ** (17 - point) != 0
-            block[rows, 1 : 1 + point] = np.maximum(digits[rows, :point], _ZERO)
-            block[rows, 1 + point] = _POINT if shortest else fraction * _POINT
-            block[rows, 2 + point : 19] = digits[rows, point:]
-            block[rows, 19] = ~fraction * _ZERO if shortest else 0
-            block[rows, 20:] = 0
-    if mixed:
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(size)
-        out[:] = np.take(block, inverse, 0, mode="clip")
+            integer = words[rows].copy()
+            for i in range((point + 2) // 4):
+                integer[:, i + 1] = table[g[i][rows]]
+            _void(block[rows, 1 : 1 + point])[:] = _void(integer.view(np.uint8)[:, 3 : 3 + point])
+            _void(block[rows, 2 + point :])[:] = _void(digits[rows, point:22])
+            if shortest:
+                block[rows, 1 + point] = _POINT
+                block[rows, 2 + point] = np.maximum(digits[rows, point], _ZERO)
+            else:
+                block[rows, 1 + point] = (digits[rows, point] != 0).view(np.uint8) * _POINT
+    if order is not None:
+        _void(out)[order] = _void(block)
+
+
+def _void(block: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 block whose rows are contiguous, one void element each."""
+    return block.view(f"V{block.shape[1]}")[:, 0]
 
 
 def rows(parts: tuple, fmt: str) -> Iterator[bytes | bytearray]:
@@ -440,7 +466,7 @@ def text_block(values: np.ndarray, fmt: str, out: np.ndarray | None = None) -> n
             shortest = fmt == "%r"
             number, exponent, fall_back = _decimal(piece, shortest)
             _layout(number, exponent, shortest, rows)
-            rows[:, 0] = np.signbit(piece) * ord("-")
+            rows[:, 0] = np.signbit(piece).view(np.uint8) * ord("-")
         if fall_back.any():
             texts = [fmt % value for value in piece[fall_back].tolist()]
             rows[fall_back] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
@@ -451,9 +477,9 @@ def _decimal(values: np.ndarray, shortest: bool):
     """_digits of |values| for any finite values: 0 has the digits 0 and the
     exponent 0, and a nonzero |v| outside [_LOWEST, _HIGHEST] falls back."""
     x = np.abs(values)
-    inside = (x >= _LOWEST) & (x <= _HIGHEST)
-    if inside.all():  # no zero either
+    if x.min() >= _LOWEST and x.max() <= _HIGHEST:  # no zero either
         return _digits(x, shortest)
+    inside = (x >= _LOWEST) & (x <= _HIGHEST)
     zero = x == 0.0
     # Cells outside are worked on as 1.5, whose text needs no fall-back.
     number, exponent, fall_back = _digits(np.where(inside, x, 1.5), shortest)
@@ -510,6 +536,6 @@ def _fixed6(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # An n of 10^6 indexes past the table: clipped, its row falls back.
     cells = np.take(integers, integer.astype(np.intp), mode="clip")
     cells |= np.take(fractions, fraction.astype(np.intp))
-    rows[:, :8] = cells.view(np.uint8).reshape(-1, 8)
-    rows[:, 8:] = 0
+    rows[:, :8].view(np.uint64)[:, 0] = cells
+    _void(rows[:, 8:])[:] = b""
     return fall_back

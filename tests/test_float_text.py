@@ -140,6 +140,40 @@ class TestDifferential:
         assert len(values) >= 20
         assert_same_text(values)
 
+    @pytest.mark.parametrize("fmt", ["%.17g", "%r"], ids=["%.17g", "repr"])
+    def test_one_class_pieces_in_a_dirty_strided_block(self, fmt):
+        """Pieces of _PIECE and _PIECE + 1 values, each of one notation class:
+        every fixed exponent, scientific below and above the fixed range,
+        and scientific on both sides of it; of both signs, with short
+        mantissas (trailing-zero groups, 1.5e5) and integer parts whose low
+        groups are zeros (1234000000000000.0). Each is laid out through a
+        column slice of a block filled with 0xFF, so a byte of a row that
+        the layout leaves unwritten shows, and so does one written outside."""
+        last = 16 if fmt == "%.17g" else 15  # the last exponent in fixed notation
+        rng = np.random.default_rng(29)
+        for size in (_text._PIECE, _text._PIECE + 1):
+            signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+            mantissas = rng.uniform(1.0, 9.9, size)
+            mantissas[::3] = rng.integers(10, 99, mantissas[::3].size) / 10
+            mantissas[1::7] = rng.integers(1000, 9900, mantissas[1::7].size) / 1000
+            below, above = rng.integers(-40, -4, size), rng.integers(last + 1, 40, size)
+            exponents = [np.full(size, e) for e in range(-4, last + 1)]
+            exponents += [below, above, np.where(rng.random(size) < 0.5, below, above)]
+            for exponent in exponents:
+                values = signs * mantissas * 10.0 ** exponent.astype(np.float64)
+                values[:3] = [1.5 * 10.0 ** exponent[0], 1234 * 10.0 ** (exponent[1] - 3),
+                              10.0 ** exponent[2]]
+                if exponent[0] == 15:
+                    assert values[1] == 1234000000000000.0
+                printed = _text._decimal(values, fmt == "%r")[1]  # one class a piece
+                assert np.ptp(printed) == 0 if -4 <= printed[0] <= last else (
+                    (printed < -4) | (printed > last)).all()
+                block = np.full((size, 30), 0xFF, np.uint8)
+                _text.text_block(values, fmt, out=block[:, 3:27])
+                assert (block[:, :3] == 0xFF).all() and (block[:, 27:] == 0xFF).all()
+                rows = [bytes(row[row != 0]).decode() for row in block[:, 3:27]]
+                assert rows == expected(values, fmt), exponent[:3]
+
     def test_chunk_pieces_keep_row_order(self):
         values = np.random.default_rng(5).standard_normal(3 * _text._PIECE + 17) ** 7
         assert_same_text(values)
